@@ -279,18 +279,21 @@ void BM_RuntimeBufferedDrain(benchmark::State& state) {
 BENCHMARK(BM_RuntimeBufferedDrain);
 
 // Emits fused kTouchRun ops (one unit-stride read stream, `steps` pages per
-// run) over a cyclic window of `pages`, after an optional per-page warm-up
-// phase that makes the whole range resident. The descriptor and cost array
-// are reused across ops, exactly as the interpreter reuses its own.
+// run, one touch per step) over a cyclic window of `pages`, after an optional
+// per-page warm-up phase that makes the whole range resident. The descriptor
+// and its arrays are reused across ops, exactly as the interpreter reuses its
+// own.
 class TouchRunProgram : public Program {
  public:
   TouchRunProgram(int64_t pages, int64_t steps, int64_t runs, bool warm)
       : pages_(pages), steps_(steps), runs_left_(runs), warm_left_(warm ? pages : 0) {
-    costs_.assign(static_cast<size_t>(steps), 100);
-    desc_.num_refs = 1;
-    desc_.refs[0] = TouchRunRef{0, 1, false};
-    desc_.steps = steps_;
-    desc_.step_cost = costs_.data();
+    touches_.resize(static_cast<size_t>(steps));
+    for (int64_t s = 0; s < steps; ++s) {
+      run_steps_.push_back(RunStep{s + 1, 100});
+    }
+    desc_.touches = touches_.data();
+    desc_.steps = run_steps_.data();
+    desc_.num_steps = steps_;
   }
 
   Op Next(Kernel& kernel) override {
@@ -302,9 +305,11 @@ class TouchRunProgram : public Program {
       return Op::Exit();
     }
     --runs_left_;
-    desc_.refs[0].base = next_base_;
+    for (int64_t s = 0; s < steps_; ++s) {
+      touches_[static_cast<size_t>(s)] = RunTouch{next_base_ + s, false};
+    }
     desc_.next_step = 0;
-    desc_.next_ref = 0;
+    desc_.next_touch = 0;
     next_base_ += steps_;
     if (next_base_ + steps_ > pages_) {
       next_base_ = 0;
@@ -319,12 +324,13 @@ class TouchRunProgram : public Program {
   int64_t warm_left_;
   VPage next_base_ = 0;
   TouchRunDesc desc_;
-  std::vector<SimDuration> costs_;
+  std::vector<RunTouch> touches_;
+  std::vector<RunStep> run_steps_;
 };
 
 void BM_TouchRunResident(benchmark::State& state) {
   // DoTouchRun's bulk path: every page of the span is resident-and-valid, so
-  // the kernel validates word-parallel and charges the run in one step. The
+  // the kernel validates the touch list and charges the run in one step. The
   // range is made resident once up front; items = pages validated per run.
   const int64_t pages = 16384;  // 64 MB of 4K pages on the default machine
   const int64_t steps = 64;
@@ -347,8 +353,8 @@ void BM_TouchRunResident(benchmark::State& state) {
 BENCHMARK(BM_TouchRunResident)->Unit(benchmark::kMicrosecond);
 
 void BM_TouchRunFaulting(benchmark::State& state) {
-  // The degraded path: nothing is resident, so the word check fails on the
-  // first step and every run is replayed page by page through the zero-fill
+  // The degraded path: nothing is resident, so the validity check fails on the
+  // first touch and every run is replayed page by page through the zero-fill
   // fault path. Guards the fallback's cursor plumbing and the fault hot path.
   const int64_t pages = 4096;  // 16 MB; each iteration faults every page once
   const int64_t steps = 64;

@@ -160,6 +160,8 @@ void Kernel::PublishMetrics() {
   pub("kernel.monitor_soft_faults", stats_.monitor_soft_faults);
   pub("kernel.monitor_releases_enqueued", stats_.monitor_releases_enqueued);
   pub("kernel.monitor_pages_protected", stats_.monitor_pages_protected);
+  pub("kernel.touch_runs_bulk", stats_.touch_runs_bulk);
+  pub("kernel.touch_runs_replayed", stats_.touch_runs_replayed);
   pub("kernel.tier_demotions", stats_.tier_demotions);
   pub("kernel.tier_promotions", stats_.tier_promotions);
   pub("kernel.tier_evictions", stats_.tier_evictions);
@@ -1113,89 +1115,75 @@ Kernel::ExecResult Kernel::DoTouchRun(Thread* t, Op& op, SimDuration* elapsed,
   PageTable& pt = as->page_table();
   MemoryLock& lock = as->memory_lock();
 
-  if (run.next_step >= run.steps) {
+  if (run.next_step >= run.num_steps) {
     return ExecResult::kCompleted;  // resumed after the last step's preemption
   }
+  const int64_t num_touches = run.steps[run.num_steps - 1].touch_end;
 
-  // Bulk path: prove every page of every stream resident-and-valid with word
-  // scans of the page table's touchable plane, then charge the whole run in
-  // one step. Equivalent to the per-step replay below because a valid-PTE
-  // touch mutates no kernel state except a write's dirty bit (order-free), so
-  // validating up front and aggregating the charges commutes — and the
-  // planner already proved steps 0..N-2 fit this slice's budget, so only the
-  // final step can overrun, exactly as its unfused compute op would have.
+  // Bulk path: prove every touched page resident-and-valid against the page
+  // table's touchable plane, then charge the whole run in one step.
+  // Equivalent to the per-step replay below because a valid-PTE touch mutates
+  // no kernel state except a write's dirty bit (order-free), so validating up
+  // front and aggregating the charges commutes — provided the unfused stream
+  // would not have ended the slice before its last op. The planner proved
+  // steps 0..N-2 fit this slice's budget; the budget test below extends that
+  // to the final step's touches, so only its compute op may overrun, exactly
+  // as it would unfused.
   // Degrades to the exact replay whenever an observer needs the per-op
   // narration (checker, monitor, event log), a fault/lock/cursor is in
-  // flight, or the slice's op cap would land mid-run (the unfused stream
-  // would have been preempted there, so replay it op by op).
+  // flight, or the slice's op cap or budget would land mid-run (the unfused
+  // stream would have been preempted there, so replay it op by op).
   if (TMH_LIKELY(checker_ == nullptr && monitor_ == nullptr && !observing_) &&
-      run.next_step == 0 && run.next_ref == 0 &&
+      run.next_step == 0 && run.next_touch == 0 &&
       t->fault_phase_ == Thread::FaultPhase::kNone && !lock.IsHeldBy(t) &&
-      *ops + run.steps * (run.num_refs + 1) < kMaxOpsPerSlice) {
+      *ops + num_touches + run.num_steps < kMaxOpsPerSlice) {
     bool all_valid = true;
-    for (int32_t r = 0; r < run.num_refs && all_valid; ++r) {
-      const TouchRunRef& ref = run.refs[r];
-      if (TMH_LIKELY(ref.page_stride == 1)) {
-        all_valid = pt.AllValid(ref.base, run.steps);
-      } else {
-        for (int64_t s = 0; s < run.steps; ++s) {
-          const Pte& pte = pt.at(ref.base + s * ref.page_stride);
-          if (!(pte.resident && pte.valid)) {
-            all_valid = false;
-            break;
-          }
-        }
-      }
+    for (int64_t i = 0; i < num_touches && all_valid; ++i) {
+      all_valid = pt.Touchable(run.touches[i].page);
     }
-    if (all_valid) {
-      SimDuration total =
-          run.steps * run.num_refs * config_.costs.touch_hit;
-      for (int64_t s = 0; s < run.steps; ++s) {
-        total += run.step_cost[s];
-      }
+    SimDuration total = num_touches * config_.costs.touch_hit;
+    for (int64_t s = 0; all_valid && s < run.num_steps; ++s) {
+      total += run.steps[s].cost;
+    }
+    if (all_valid && *elapsed + total - run.steps[run.num_steps - 1].cost < budget) {
       Charge(t, elapsed, total, &TimeBreakdown::user);
-      for (int32_t r = 0; r < run.num_refs; ++r) {
-        const TouchRunRef& ref = run.refs[r];
-        if (!ref.is_write) {
-          continue;
-        }
-        for (int64_t s = 0; s < run.steps; ++s) {
-          MarkDirty(pt.at(ref.base + s * ref.page_stride).frame);
+      for (int64_t i = 0; i < num_touches; ++i) {
+        if (run.touches[i].is_write) {
+          MarkDirty(pt.at(run.touches[i].page).frame);
         }
       }
-      *ops += static_cast<int>(run.steps * (run.num_refs + 1) - 1);
-      run.next_step = run.steps;
+      *ops += static_cast<int>(num_touches + run.num_steps - 1);
+      run.next_step = run.num_steps;
       ++stats_.touch_runs_bulk;
       return ExecResult::kCompleted;
     }
   }
-  if (run.next_step == 0 && run.next_ref == 0) {
+  if (run.next_step == 0 && run.next_touch == 0) {
     ++stats_.touch_runs_replayed;
   }
 
-  // Exact per-step replay: each step is num_refs touches followed by one
-  // compute charge, with the same post-op budget/op-cap checks the unfused
-  // stream would see. A blocking touch leaves the cursor on the blocked ref
-  // so the fault resumption re-enters DoTouch with the identical page.
-  while (run.next_step < run.steps) {
-    while (run.next_ref < run.num_refs) {
-      const TouchRunRef& ref = run.refs[run.next_ref];
-      Op touch =
-          Op::Touch(ref.base + run.next_step * ref.page_stride, ref.is_write, 0);
-      touch.as = as;
-      const ExecResult result = DoTouch(t, touch, elapsed);
+  // Exact per-step replay: each step is its touches followed by one compute
+  // charge, with the same post-op budget/op-cap checks the unfused stream
+  // would see. A blocking touch leaves the cursor on the blocked touch so the
+  // fault resumption re-enters DoTouch with the identical page.
+  while (run.next_step < run.num_steps) {
+    const RunStep& step = run.steps[run.next_step];
+    while (run.next_touch < step.touch_end) {
+      const RunTouch& touch = run.touches[run.next_touch];
+      Op touch_op = Op::Touch(touch.page, touch.is_write, 0);
+      touch_op.as = as;
+      const ExecResult result = DoTouch(t, touch_op, elapsed);
       if (result == ExecResult::kBlocked) {
         return ExecResult::kBlocked;
       }
-      ++run.next_ref;
+      ++run.next_touch;
       if (++*ops >= kMaxOpsPerSlice || *elapsed >= budget) {
         return ExecResult::kPreempted;
       }
     }
-    Charge(t, elapsed, run.step_cost[run.next_step], &TimeBreakdown::user);
-    run.next_ref = 0;
+    Charge(t, elapsed, step.cost, &TimeBreakdown::user);
     ++run.next_step;
-    if (run.next_step >= run.steps) {
+    if (run.next_step >= run.num_steps) {
       return ExecResult::kCompleted;
     }
     if (++*ops >= kMaxOpsPerSlice || *elapsed >= budget) {

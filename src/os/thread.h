@@ -60,34 +60,39 @@ class WaitQueue {
   uint64_t pending_signals_ = 0;
 };
 
-// One access stream of a fused touch run: at step s the stream references page
-// `base + s * page_stride` (write iff `is_write`). A run descriptor bundles the
-// streams of one innermost-loop span whose refs all cross pages in lockstep.
-struct TouchRunRef {
-  VPage base = kNoVPage;
-  int64_t page_stride = 1;  // pages advanced per step (>= 1)
+// One page reference of a fused touch run (a kTouch the run stands in for).
+struct RunTouch {
+  VPage page = kNoVPage;
   bool is_write = false;
 };
 
-// Descriptor for a fused run of `steps` interpreter steps. Each step touches
-// one page per ref and then burns `step_cost[s]` of user compute time — the
-// exact per-op stream the interpreter would otherwise emit as
-// (num_refs x kTouch + 1 x kCompute) per step. The kernel executes the whole
-// run word-parallel when every page is resident-and-valid, and otherwise
-// replays it step by step through DoTouch, resuming from the (next_step,
-// next_ref) cursor after a blocking fault or a slice preemption. The emitting
-// Program owns the descriptor (and the step_cost array) and must keep both
-// alive until the op completes; Next() is only called after full completion,
-// so a single reusable buffer per program suffices.
+// One interpreter step of a fused touch run: the touches
+// [previous step's touch_end, touch_end) of the run's flat touch array, then
+// `cost` of user compute time — the (touches x kTouch + 1 x kCompute) per-op
+// stream the interpreter would otherwise emit for that step. A step may touch
+// nothing (a compute-only step).
+struct RunStep {
+  int64_t touch_end = 0;
+  SimDuration cost = 0;
+};
+
+// Descriptor for a fused run of `num_steps` interpreter steps. The kernel
+// executes the whole run in one charge when every touched page is
+// resident-and-valid, and otherwise replays it step by step through DoTouch,
+// resuming from the (next_step, next_touch) cursor after a blocking fault or
+// a slice preemption. The emitting Program owns the descriptor and both
+// arrays and must keep them alive until the op completes; Next() is only
+// called after full completion, so a single reusable buffer per program
+// suffices.
 struct TouchRunDesc {
-  static constexpr int kMaxRefs = 4;
-  TouchRunRef refs[kMaxRefs];
-  int32_t num_refs = 0;
-  int64_t steps = 0;
-  const SimDuration* step_cost = nullptr;  // [steps] user time per step
-  // Resume cursor, advanced by the kernel's per-step fallback path.
+  // Steps per run: bounds the Program's buffers, not the kernel's work.
+  static constexpr int64_t kMaxSteps = 1024;
+  const RunTouch* touches = nullptr;  // [steps[num_steps - 1].touch_end]
+  const RunStep* steps = nullptr;     // [num_steps]
+  int64_t num_steps = 0;
+  // Resume cursor, advanced by the kernel's per-step replay path.
   int64_t next_step = 0;
-  int32_t next_ref = 0;
+  int64_t next_touch = 0;  // index into `touches`
 };
 
 // One operation emitted by a Program.

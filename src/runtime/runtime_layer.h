@@ -88,10 +88,19 @@ class RuntimeLayer {
   // Ops to `out` and returns the user-time cost.
   SimDuration OnReleaseHint(VPage page, int32_t priority, int32_t tag, std::vector<Op>& out);
 
-  // Batch forms for hints the compiled code evaluates every iteration with an
-  // identical outcome (unknown-bound loops running inside one page): one real
-  // hint plus `repeats - 1` immediately-filtered duplicates. Semantically
-  // identical to calling the single-hint form `repeats` times, in O(1).
+  // Batch forms for hints the compiled code evaluates every iteration of a
+  // run that stays inside one page (unknown-bound loops): one real hint plus
+  // `repeats - 1` immediately-filtered duplicates, in O(1).
+  //
+  // The release batch is identical to `repeats` single calls: the repeats
+  // name the same page and die in the tag filter either way. The prefetch
+  // batch is not, when the page is cold: each single call would enqueue
+  // again (a pool duplicate), count in prefetch_enqueued and charge
+  // enqueue_cost, while the batch books the repeats as
+  // prefetch_filtered_resident at hint_check_cost each. On a resident page
+  // the two agree. The batch is the run-time layer's defined behaviour for a
+  // run's repeated hints; callers must not substitute either form for the
+  // other.
   SimDuration OnPrefetchHintBatch(VPage page, int64_t repeats);
   SimDuration OnReleaseHintBatch(VPage page, int32_t priority, int32_t tag, int64_t repeats,
                                  std::vector<Op>& out);

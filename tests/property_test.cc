@@ -167,6 +167,177 @@ TEST_P(InterpreterEquivalenceTest, BatchedTouchSequenceMatchesNaiveWalk) {
 INSTANTIATE_TEST_SUITE_P(RandomNests, InterpreterEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 33));
 
+// --- Page cursors vs the reference evaluator --------------------------------------
+
+constexpr int64_t kCursorPage = 4096;
+
+// One random nest stressing RefCursor: coeffs shorter or longer than the nest,
+// negative coefficients and constants, refs running past either end of their
+// array (clamped, like FFTPDE's twiddle array), indirect refs whose index
+// values fall outside the target, loop lower bounds and steps other than 0/1,
+// and compiler-invisible runtime expressions.
+SourceProgram RandomCursorProgram(uint64_t seed) {
+  Rng rng(seed);
+  SourceProgram p;
+  p.name = "cursor";
+  const int64_t element_sizes[] = {4, 8, 16, 24};
+  for (int a = 0; a < 2; ++a) {
+    p.arrays.push_back({"d" + std::to_string(a), element_sizes[rng.NextBelow(4)],
+                        rng.NextInRange(1, 20'000), false, nullptr});
+  }
+  const int64_t index_count = rng.NextInRange(1, 5000);
+  auto values = std::make_shared<std::vector<int64_t>>();
+  for (int64_t i = 0; i < index_count; ++i) {
+    values->push_back(rng.NextInRange(-8, 20'008));
+  }
+  p.arrays.push_back({"idx", 8, index_count, false, values});
+
+  LoopNest nest;
+  const int depth = static_cast<int>(rng.NextBelow(3)) + 1;
+  for (int d = 0; d < depth; ++d) {
+    const int64_t lower = rng.NextInRange(0, 3);
+    const int64_t step = rng.NextInRange(1, 3);
+    const int64_t trips = d + 1 == depth ? rng.NextInRange(1, 300) : rng.NextInRange(1, 4);
+    nest.loops.push_back(Loop{"v" + std::to_string(d), lower, lower + trips * step, step, true});
+  }
+  const int64_t inner_trips = nest.loops.back().upper - nest.loops.back().lower;
+  auto random_expr = [&](const ArrayDecl& array) {
+    AffineExpr expr;
+    size_t size = static_cast<size_t>(depth);
+    if (rng.NextBelow(4) == 0) {
+      size = rng.NextBelow(static_cast<uint64_t>(depth));  // shorter than the nest
+    } else if (rng.NextBelow(8) == 0) {
+      size = static_cast<size_t>(depth) + 1;  // longer: the extra one is ignored
+    }
+    for (size_t d = 0; d < size; ++d) {
+      int64_t c = rng.NextInRange(-3, 3);
+      if (d + 1 < static_cast<size_t>(depth) && rng.NextBelow(2) == 0) {
+        c *= inner_trips;  // row-major outer stride
+      }
+      expr.coeffs.push_back(c);
+    }
+    expr.constant = rng.NextInRange(-50, array.num_elements + 50);
+    return expr;
+  };
+  const int num_refs = static_cast<int>(rng.NextBelow(5)) + 1;
+  for (int r = 0; r < num_refs; ++r) {
+    ArrayRef ref;
+    ref.array = static_cast<int32_t>(rng.NextBelow(2));
+    const ArrayDecl& array = p.arrays[static_cast<size_t>(ref.array)];
+    ref.affine = random_expr(array);
+    if (rng.NextBelow(4) == 0) {
+      ref.index_array = 2;
+      ref.affine.constant = rng.NextInRange(-50, index_count + 50);
+    } else if (rng.NextBelow(6) == 0) {
+      ref.runtime_affine = std::make_shared<AffineExpr>(random_expr(array));
+    }
+    nest.refs.push_back(ref);
+  }
+  p.nests.push_back(std::move(nest));
+  return p;
+}
+
+// Reference element: AffineExpr::Eval on the iteration vector with the
+// innermost loop shifted, read through the index array, clamped to the extent.
+int64_t ReferenceElement(const SourceProgram& p, const LoopNest& nest, const ArrayRef& ref,
+                         std::vector<int64_t> ivs, int64_t shift) {
+  ivs.back() += shift * nest.loops.back().step;
+  const AffineExpr& expr = ref.runtime_affine != nullptr ? *ref.runtime_affine : ref.affine;
+  int64_t value = expr.Eval(ivs);
+  if (ref.IsIndirect()) {
+    const auto& values = *p.arrays[static_cast<size_t>(ref.index_array)].index_values;
+    value = values[static_cast<size_t>(
+        std::clamp<int64_t>(value, 0, static_cast<int64_t>(values.size()) - 1))];
+  }
+  const ArrayDecl& array = p.arrays[static_cast<size_t>(ref.array)];
+  return std::clamp<int64_t>(value, 0, std::max<int64_t>(array.num_elements - 1, 0));
+}
+
+// Reference run bound of an affine ref at `ivs`: iterations until its byte
+// offset leaves the page at the stride of the expression's last coefficient;
+// 0 when that coefficient is 0 (no bound).
+int64_t ReferenceRunBound(const SourceProgram& p, const LoopNest& nest, const ArrayRef& ref,
+                          const std::vector<int64_t>& ivs) {
+  const AffineExpr& expr = ref.runtime_affine != nullptr ? *ref.runtime_affine : ref.affine;
+  const int64_t coeff = expr.coeffs.empty() ? 0 : expr.coeffs.back();
+  if (coeff == 0) {
+    return 0;
+  }
+  const int64_t element_size = p.arrays[static_cast<size_t>(ref.array)].element_size;
+  const int64_t delta = coeff * nest.loops.back().step * element_size;
+  const int64_t offset = ReferenceElement(p, nest, ref, ivs, 0) * element_size % kCursorPage;
+  const int64_t until =
+      delta > 0 ? (kCursorPage - offset + delta - 1) / delta : offset / (-delta) + 1;
+  return std::max<int64_t>(until, 1);
+}
+
+class RefCursorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RefCursorPropertyTest, CursorMatchesReferenceEvaluator) {
+  const SourceProgram source = RandomCursorProgram(GetParam());
+  const ArrayLayout layout(source, kCursorPage);
+  const LoopNest& nest = source.nests[0];
+  const Loop& inner = nest.loops.back();
+  std::vector<RefCursor> cursors;
+  for (const ArrayRef& ref : nest.refs) {
+    cursors.emplace_back(source, layout, nest, ref);
+  }
+  // Every shift the prologue and the indirect prefetch targets can ask for.
+  const int64_t max_shift = CompilerTarget{}.max_prefetch_distance;
+  std::vector<int64_t> ivs;
+  for (const Loop& loop : nest.loops) {
+    ivs.push_back(loop.lower);
+  }
+  while (true) {
+    for (RefCursor& cursor : cursors) {
+      cursor.Rebase(ivs);
+    }
+    int64_t trip = 0;
+    for (int64_t iv = inner.lower; iv < inner.upper; iv += inner.step, ++trip) {
+      ivs.back() = iv;
+      for (size_t r = 0; r < cursors.size(); ++r) {
+        SCOPED_TRACE(testing::Message() << "ref " << r << " trip " << trip);
+        const ArrayRef& ref = nest.refs[r];
+        RefCursor& cursor = cursors[r];
+        for (int64_t shift = 0; shift <= max_shift; ++shift) {
+          ASSERT_EQ(cursor.Element(iv + shift * inner.step),
+                    ReferenceElement(source, nest, ref, ivs, shift))
+              << "shift " << shift;
+        }
+        // A fresh cursor must still hold the page and run bound a full
+        // recomputation would give at this trip.
+        if (cursor.Stale(trip)) {
+          cursor.Refresh(trip, iv);
+        }
+        ASSERT_EQ(cursor.page(),
+                  layout.PageOf(ref.array, ReferenceElement(source, nest, ref, ivs, 0)));
+        if (!ref.IsIndirect()) {
+          const int64_t bound = ReferenceRunBound(source, nest, ref, ivs);
+          ASSERT_EQ(cursor.run_end(), bound == 0 ? RefCursor::kNever : trip + bound);
+        }
+      }
+    }
+    // Odometer over the outer loops.
+    size_t d = nest.loops.size() - 1;
+    while (d > 0) {
+      --d;
+      ivs[d] += nest.loops[d].step;
+      if (ivs[d] < nest.loops[d].upper) {
+        break;
+      }
+      ivs[d] = nest.loops[d].lower;
+      if (d == 0) {
+        return;
+      }
+    }
+    if (nest.loops.size() == 1) {
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomNests, RefCursorPropertyTest, ::testing::Range<uint64_t>(1, 65));
+
 // --- Frame conservation under random multiprogramming ----------------------------
 
 class FrameConservationTest : public ::testing::TestWithParam<uint64_t> {};

@@ -5,11 +5,13 @@
 // per-touch replay so its view of the run is unchanged.
 
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/check/fuzz_scenario.h"
 #include "src/core/experiment.h"
+#include "src/workloads/extra.h"
 #include "src/workloads/workloads.h"
 
 namespace tmh {
@@ -21,13 +23,19 @@ MachineConfig SmallMachine() {
   return config;
 }
 
-ExperimentSpec MatvecSpec(AppVersion version, bool fuse) {
+ExperimentSpec ProgramSpec(const SourceProgram& workload, AppVersion version, bool fuse,
+                           bool adaptive = false) {
   ExperimentSpec spec;
   spec.machine = SmallMachine();
-  spec.workload = MakeMatvec(0.1);
+  spec.workload = workload;
   spec.version = version;
+  spec.adaptive = adaptive;
   spec.fuse_touch_runs = fuse;
   return spec;
+}
+
+ExperimentSpec MatvecSpec(AppVersion version, bool fuse) {
+  return ProgramSpec(MakeMatvec(0.1), version, fuse);
 }
 
 // KernelStats minus the touch_runs_* counters, which exist precisely to tell
@@ -55,9 +63,13 @@ void ExpectIdentical(const ExperimentResult& fused, const ExperimentResult& plai
   EXPECT_EQ(fused.app.faults.rescue_faults, plain.app.faults.rescue_faults);
   EXPECT_EQ(fused.app.faults.release_saves, plain.app.faults.release_saves);
   EXPECT_EQ(fused.app.faults.zero_fill_faults, plain.app.faults.zero_fill_faults);
-  // The interpreter does the same logical work either way.
-  EXPECT_EQ(fused.app.interp.iterations, plain.app.interp.iterations);
-  EXPECT_EQ(fused.app.interp.page_touches, plain.app.interp.page_touches);
+  // The interpreter and the run-time layer do the same logical work either
+  // way (both structs are all uint64_t, so a byte compare is exact).
+  EXPECT_EQ(0, std::memcmp(&fused.app.interp, &plain.app.interp, sizeof(InterpreterStats)));
+  ASSERT_EQ(fused.app.runtime.has_value(), plain.app.runtime.has_value());
+  if (fused.app.runtime.has_value()) {
+    EXPECT_EQ(0, std::memcmp(&*fused.app.runtime, &*plain.app.runtime, sizeof(RuntimeStats)));
+  }
   // Kernel-wide counters (all uint64_t, so a byte compare is exact).
   const KernelStats a = WithoutRunCounters(fused.kernel);
   const KernelStats b = WithoutRunCounters(plain.kernel);
@@ -72,21 +84,47 @@ void ExpectIdentical(const ExperimentResult& fused, const ExperimentResult& plai
 }
 
 TEST(RunFusionTest, FusedMatchesUnfusedExactly) {
+  // Every paper program in every version: lockstep affine streams (EMBAR,
+  // MATVEC), indirect nests whose steps touch a varying set of pages (BUK,
+  // CGM), three-deep odometers (MGRID), and FFTPDE's clamped twiddle
+  // reference, whose one-iteration steps mostly touch nothing.
+  for (const WorkloadInfo& info : AllWorkloads()) {
+    const SourceProgram workload = info.factory(0.05);
+    for (const AppVersion version : AllVersions()) {
+      const std::string label = info.name + "/" + VersionLabel(version);
+      const ExperimentResult fused = RunExperiment(ProgramSpec(workload, version, true));
+      const ExperimentResult plain = RunExperiment(ProgramSpec(workload, version, false));
+      ExpectIdentical(fused, plain, label.c_str());
+      EXPECT_EQ(plain.kernel.touch_runs_bulk + plain.kernel.touch_runs_replayed, 0u) << label;
+      if (info.name == "BUK" || info.name == "CGM" || info.name == "FFTPDE") {
+        EXPECT_GT(fused.kernel.touch_runs_bulk + fused.kernel.touch_runs_replayed, 0u) << label;
+      }
+    }
+  }
+  // Adaptive recompilation re-specializes the unknown-bound nests on entry,
+  // turning every-iteration hints into page-crossing hints.
+  for (const char* name : {"MGRID", "FFTPDE"}) {
+    const SourceProgram workload = FindWorkload(name)->factory(0.05);
+    for (const AppVersion version : AllVersions()) {
+      const std::string label = std::string(name) + "/" + VersionLabel(version) + "/adaptive";
+      const ExperimentResult fused = RunExperiment(ProgramSpec(workload, version, true, true));
+      const ExperimentResult plain = RunExperiment(ProgramSpec(workload, version, false, true));
+      ExpectIdentical(fused, plain, label.c_str());
+    }
+  }
+  // MATVEC at twice the footprint, far out of core. The toggle is real for
+  // the uninstrumented program, which plans spans straight through
+  // non-resident pages (replay reproduces the faults).
   for (const AppVersion version : AllVersions()) {
     const ExperimentResult fused = RunExperiment(MatvecSpec(version, true));
     const ExperimentResult plain = RunExperiment(MatvecSpec(version, false));
     ExpectIdentical(fused, plain, VersionLabel(version));
     EXPECT_EQ(plain.kernel.touch_runs_bulk + plain.kernel.touch_runs_replayed, 0u)
         << VersionLabel(version);
+    if (version == AppVersion::kOriginal) {
+      EXPECT_GT(fused.kernel.touch_runs_bulk + fused.kernel.touch_runs_replayed, 0u);
+    }
   }
-  // The toggle is real for the uninstrumented program, which plans spans
-  // straight through non-resident pages (replay reproduces the faults).
-  // Instrumented versions fire hints at plan time and so may only span
-  // already-valid pages — out of core at this footprint, the just-crossed
-  // page is still in flight, so their streams stay per-touch here (covered
-  // in core by BulkPathEngagesWhenResident).
-  const ExperimentResult original = RunExperiment(MatvecSpec(AppVersion::kOriginal, true));
-  EXPECT_GT(original.kernel.touch_runs_bulk + original.kernel.touch_runs_replayed, 0u);
 }
 
 TEST(RunFusionTest, BulkPathEngagesWhenResident) {

@@ -287,6 +287,50 @@ TEST_F(RuntimeLayerTest, BatchFormsMatchRepeatedSingles) {
   EXPECT_GT(pf_cost, 0);
 }
 
+TEST_F(RuntimeLayerTest, PrefetchBatchOnColdPageIsNotRepeatedSingles) {
+  // On a cold page each single hint enqueues again (a pool duplicate), counts
+  // as enqueued and charges enqueue_cost; the batch enqueues once and books
+  // the repeats as resident-filtered checks. Pinned as it is: every
+  // unknown-bound program's simulated time depends on the batch's accounting.
+  RuntimeLayer& batch = Layer(false);
+  RuntimeOptions options;
+  options.num_prefetch_threads = 2;
+  RuntimeLayer singles(&kernel_, as_, options);
+  const RuntimeOptions& costs = batch.options();
+  constexpr int64_t kRepeats = 4;
+
+  const SimDuration batch_cost = batch.OnPrefetchHintBatch(20, kRepeats);  // page 20 is cold
+  SimDuration singles_cost = 0;
+  for (int64_t i = 0; i < kRepeats; ++i) {
+    singles_cost += singles.OnPrefetchHint(20);
+  }
+  EXPECT_EQ(batch_cost, costs.enqueue_cost + kRepeats * costs.hint_check_cost);
+  EXPECT_EQ(singles_cost, kRepeats * (costs.enqueue_cost + costs.hint_check_cost));
+  EXPECT_EQ(batch.stats().prefetch_hints, static_cast<uint64_t>(kRepeats));
+  EXPECT_EQ(singles.stats().prefetch_hints, static_cast<uint64_t>(kRepeats));
+  EXPECT_EQ(batch.stats().prefetch_enqueued, 1u);
+  EXPECT_EQ(singles.stats().prefetch_enqueued, static_cast<uint64_t>(kRepeats));
+  EXPECT_EQ(batch.stats().prefetch_filtered_resident, static_cast<uint64_t>(kRepeats - 1));
+  EXPECT_EQ(singles.stats().prefetch_filtered_resident, 0u);
+  EXPECT_EQ(batch.pool().enqueued(), 1u);
+  EXPECT_EQ(batch.pool().duplicates(), 0u);
+  EXPECT_EQ(singles.pool().enqueued(), 1u);
+  EXPECT_EQ(singles.pool().duplicates(), static_cast<uint64_t>(kRepeats - 1));
+
+  // On a resident page the two agree.
+  MarkResident(21, 1);
+  const SimDuration resident_batch = batch.OnPrefetchHintBatch(21, kRepeats);
+  SimDuration resident_singles = 0;
+  for (int64_t i = 0; i < kRepeats; ++i) {
+    resident_singles += singles.OnPrefetchHint(21);
+  }
+  EXPECT_EQ(resident_batch, resident_singles);
+  EXPECT_EQ(batch.stats().prefetch_filtered_resident, static_cast<uint64_t>(2 * kRepeats - 1));
+  EXPECT_EQ(singles.stats().prefetch_filtered_resident, static_cast<uint64_t>(kRepeats));
+  EXPECT_EQ(batch.pool().enqueued(), 1u);
+  EXPECT_EQ(singles.pool().enqueued(), 1u);
+}
+
 TEST_F(RuntimeLayerTest, TagFilterNeverDropsALivePage) {
   // The one-behind filter may only hold back the single most recent hint per
   // tag; everything older must surface, and the flush must emit the holdout.

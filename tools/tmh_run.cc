@@ -359,6 +359,9 @@ void PrintJson(const Flags& flags, const tmh::WorkloadInfo& info,
               (unsigned long long)result.kernel.local_evictions,
               (unsigned long long)(result.kernel.rescued_daemon_freed +
                                    result.kernel.rescued_release_freed));
+  std::printf("  \"touch_runs\": {\"bulk\": %llu, \"replayed\": %llu},\n",
+              (unsigned long long)result.kernel.touch_runs_bulk,
+              (unsigned long long)result.kernel.touch_runs_replayed);
   std::printf("  \"swap\": {\"reads\": %llu, \"writes\": %llu}",
               (unsigned long long)result.swap_reads, (unsigned long long)result.swap_writes);
   if (spec.machine.has_slow_tiers()) {
@@ -530,6 +533,9 @@ int main(int argc, char** argv) {
   counters.AddRow({"local evictions", tmh::FormatCount(result.kernel.local_evictions)});
   counters.AddRow({"pages rescued", tmh::FormatCount(result.kernel.rescued_daemon_freed +
                                                      result.kernel.rescued_release_freed)});
+  counters.AddRow({"touch runs bulk / replayed",
+                   tmh::FormatCount(result.kernel.touch_runs_bulk) + " / " +
+                       tmh::FormatCount(result.kernel.touch_runs_replayed)});
   if (spec.machine.has_slow_tiers()) {
     counters.AddRow({"tier demotions / promotions",
                      tmh::FormatCount(result.kernel.tier_demotions) + " / " +
