@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/sim/counters.h"
 #include "src/sim/rng.h"
 #include "src/workloads/extra.h"
 #include "src/workloads/workloads.h"
@@ -237,33 +238,11 @@ ScenarioOutcome RunScenario(const Scenario& scenario,
   h = Mix(h, result.sim_events);
   h = Mix(h, result.swap_reads);
   h = Mix(h, result.swap_writes);
-  const KernelStats& k = result.kernel;
-  h = Mix(h, k.allocations);
-  h = Mix(h, k.zero_fills);
-  h = Mix(h, k.writebacks);
-  h = Mix(h, k.hard_faults);
-  h = Mix(h, k.soft_faults);
-  h = Mix(h, k.daemon_pages_stolen);
-  h = Mix(h, k.daemon_invalidations);
-  h = Mix(h, k.releaser_pages_freed);
-  h = Mix(h, k.releaser_skipped);
-  h = Mix(h, k.rescued_daemon_freed);
-  h = Mix(h, k.rescued_release_freed);
-  h = Mix(h, k.prefetch_io);
-  h = Mix(h, k.prefetch_dropped);
-  h = Mix(h, k.release_pages_enqueued);
-  h = Mix(h, k.memory_waits);
-  h = Mix(h, k.monitor_invalidations);
-  h = Mix(h, k.monitor_soft_faults);
-  h = Mix(h, k.monitor_releases_enqueued);
-  h = Mix(h, k.monitor_pages_protected);
-  h = Mix(h, k.tier_demotions);
-  h = Mix(h, k.tier_promotions);
-  h = Mix(h, k.tier_evictions);
-  h = Mix(h, k.tier_writebacks);
+  const auto mix = [&h](const char* /*name*/, uint64_t v) { h = Mix(h, v); };
+  ForEachCounter(result.kernel, mix);
   for (const AppMetrics& app : result.apps) {
     h = Mix(h, static_cast<uint64_t>(app.wall));
-    h = Mix(h, app.faults.hard_faults);
+    ForEachCounter(app.faults, mix);
     h = Mix(h, static_cast<uint64_t>(app.times.user));
   }
   std::ostringstream os;

@@ -271,28 +271,24 @@ MultiExperimentResult RunMultiExperiment(const MultiExperimentSpec& spec,
   result.sim_events = kernel.event_queue().ExecutedCount();
   if (spec.observe) {
     kernel.PublishMetrics();
-    // Per-app run-time layer and prefetch-pool aggregates, labeled by AS name.
+    // Per-app aggregates, labeled by AS name.
+    MetricsRegistry& reg = kernel.metrics();
     for (const LaunchedApp& app : apps) {
+      const MetricLabels labels = {{"as", app.as->name()}};
+      PublishCounters(reg, "faults", app.thread->faults(), labels);
+      PublishCounters(reg, "interp", app.interp->stats(), labels);
       if (app.runtime == nullptr) {
         continue;
       }
-      MetricsRegistry& reg = kernel.metrics();
-      const MetricLabels labels = {{"as", app.as->name()}};
-      const RuntimeStats& rs = app.runtime->stats();
-      reg.GetCounter("runtime.prefetch_hints", labels)->Set(rs.prefetch_hints);
-      reg.GetCounter("runtime.prefetch_enqueued", labels)->Set(rs.prefetch_enqueued);
-      reg.GetCounter("runtime.release_hints", labels)->Set(rs.release_hints);
-      reg.GetCounter("runtime.releases_issued_immediate", labels)
-          ->Set(rs.releases_issued_immediate);
-      reg.GetCounter("runtime.releases_buffered", labels)->Set(rs.releases_buffered);
-      reg.GetCounter("runtime.release_drains", labels)->Set(rs.release_drains);
-      reg.GetCounter("runtime.releases_issued_from_buffer", labels)
-          ->Set(rs.releases_issued_from_buffer);
-      reg.GetCounter("runtime.buffer_stale_dropped", labels)->Set(rs.buffer_stale_dropped);
+      PublishCounters(reg, "runtime", app.runtime->stats(), labels);
       const PrefetchPool& pool = app.runtime->pool();
       reg.GetCounter("prefetch_pool.enqueued", labels)->Set(pool.enqueued());
       reg.GetCounter("prefetch_pool.dropped_full", labels)->Set(pool.dropped_full());
       reg.GetCounter("prefetch_pool.duplicates", labels)->Set(pool.duplicates());
+    }
+    // One monitor serves every app, so its counters carry no AS label.
+    if (monitor != nullptr) {
+      PublishCounters(reg, "monitor", monitor->stats());
     }
     result.metrics_text = kernel.metrics().TextDump();
     result.event_log = std::move(kernel.event_log());
@@ -330,10 +326,6 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec, CompileCache* compile
   result.check_failure = std::move(inner.check_failure);
   result.checks_run = inner.checks_run;
   result.monitor = inner.monitor;
-  result.daemon_activations = inner.kernel.daemon_activations;
-  // The free-list rescue counter is kernel-global; recover it from the stats.
-  result.free_list_rescues =
-      inner.kernel.rescued_daemon_freed + inner.kernel.rescued_release_freed;
   return result;
 }
 

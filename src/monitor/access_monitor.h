@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/sim/counters.h"
 #include "src/sim/rng.h"
 #include "src/sim/time.h"
 #include "src/vm/types.h"
@@ -93,20 +94,23 @@ struct MonitorRegion {
   VPage sampled = kNoVPage;
 };
 
+#define TMH_MONITOR_STATS(X) \
+  X(ticks)                                                                 \
+  X(aggregations)                                                          \
+  X(samples_armed)          /* pages invalidated for reference sampling */ \
+  X(samples_checked)        /* armed samples evaluated a tick later */     \
+  X(samples_hit)            /* evaluated samples that proved an access */  \
+  X(region_splits)                                                         \
+  X(region_merges)                                                         \
+  X(max_regions_seen)       /* high-water mark over all address spaces */  \
+  X(cold_regions_actioned)                                                 \
+  X(cold_pages_enqueued)    /* releases queued by the schemes engine */    \
+  X(hot_regions_actioned)                                                  \
+  X(hot_pages_protected)
 struct MonitorStats {
-  uint64_t ticks = 0;
-  uint64_t aggregations = 0;
-  uint64_t samples_armed = 0;    // pages invalidated for reference sampling
-  uint64_t samples_checked = 0;  // armed samples evaluated a tick later
-  uint64_t samples_hit = 0;      // evaluated samples that proved an access
-  uint64_t region_splits = 0;
-  uint64_t region_merges = 0;
-  uint64_t max_regions_seen = 0;  // high-water mark over all address spaces
-  uint64_t cold_regions_actioned = 0;
-  uint64_t cold_pages_enqueued = 0;  // releases queued by the schemes engine
-  uint64_t hot_regions_actioned = 0;
-  uint64_t hot_pages_protected = 0;
+  TMH_MONITOR_STATS(TMH_COUNTER_MEMBER)
 };
+TMH_COUNTER_TABLE(MonitorStats, TMH_MONITOR_STATS)
 
 class AccessMonitor {
  public:

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/os/lock.h"
+#include "src/sim/counters.h"
 #include "src/vm/page_table.h"
 #include "src/vm/residency_bitmap.h"
 #include "src/vm/types.h"
@@ -32,19 +33,22 @@ struct Region {
 };
 
 // Per-address-space counters used by Table 3 and Figure 9.
+#define TMH_AS_STATS(X) \
+  X(pages_stolen_from)        /* reclaimed by the paging daemon */        \
+  X(pages_released)           /* freed via explicit release requests */   \
+  X(release_requests)         /* syscalls issued */                       \
+  X(release_pages_requested)                                              \
+  X(releases_skipped)         /* releaser found the page re-referenced */ \
+  X(prefetches_issued)                                                    \
+  X(prefetches_dropped)       /* no free memory at request time */        \
+  X(prefetches_noop)          /* page already resident */                 \
+  X(rescued_from_steal)       /* rescued pages the daemon had freed */    \
+  X(rescued_from_release)     /* rescued pages a release had freed */     \
+  X(invalidations_received)   /* daemon reference-bit sampling */
 struct AsStats {
-  uint64_t pages_stolen_from = 0;    // reclaimed by the paging daemon
-  uint64_t pages_released = 0;       // freed via explicit release requests
-  uint64_t release_requests = 0;     // syscalls issued
-  uint64_t release_pages_requested = 0;
-  uint64_t releases_skipped = 0;     // releaser found the page re-referenced
-  uint64_t prefetches_issued = 0;
-  uint64_t prefetches_dropped = 0;   // no free memory at request time
-  uint64_t prefetches_noop = 0;      // page already resident
-  uint64_t rescued_from_steal = 0;   // rescued pages the daemon had freed
-  uint64_t rescued_from_release = 0; // rescued pages a release had freed
-  uint64_t invalidations_received = 0;  // daemon reference-bit sampling
+  TMH_AS_STATS(TMH_COUNTER_MEMBER)
 };
+TMH_COUNTER_TABLE(AsStats, TMH_AS_STATS)
 
 class AddressSpace {
  public:

@@ -130,55 +130,15 @@ void Kernel::PublishMetrics() {
   if (!observing_) {
     return;
   }
-  const auto pub = [this](const char* name, uint64_t v) {
-    metrics_.GetCounter(name)->Set(v);
-  };
-  pub("kernel.daemon_activations", stats_.daemon_activations);
-  pub("kernel.daemon_pages_stolen", stats_.daemon_pages_stolen);
-  pub("kernel.daemon_invalidations", stats_.daemon_invalidations);
-  pub("kernel.releaser_batches", stats_.releaser_batches);
-  pub("kernel.releaser_pages_freed", stats_.releaser_pages_freed);
-  pub("kernel.releaser_skipped", stats_.releaser_skipped);
-  pub("kernel.rescued_daemon_freed", stats_.rescued_daemon_freed);
-  pub("kernel.rescued_release_freed", stats_.rescued_release_freed);
-  pub("kernel.allocations", stats_.allocations);
-  pub("kernel.zero_fills", stats_.zero_fills);
-  pub("kernel.writebacks", stats_.writebacks);
-  pub("kernel.hard_faults", stats_.hard_faults);
-  pub("kernel.soft_faults", stats_.soft_faults);
-  pub("kernel.prefetch_requests", stats_.prefetch_requests);
-  pub("kernel.prefetch_dropped", stats_.prefetch_dropped);
-  pub("kernel.prefetch_noop", stats_.prefetch_noop);
-  pub("kernel.prefetch_io", stats_.prefetch_io);
-  pub("kernel.release_requests", stats_.release_requests);
-  pub("kernel.release_pages_enqueued", stats_.release_pages_enqueued);
-  pub("kernel.memory_waits", stats_.memory_waits);
-  pub("kernel.reactive_evictions", stats_.reactive_evictions);
-  pub("kernel.local_evictions", stats_.local_evictions);
-  pub("kernel.readahead_reads", stats_.readahead_reads);
-  pub("kernel.monitor_invalidations", stats_.monitor_invalidations);
-  pub("kernel.monitor_soft_faults", stats_.monitor_soft_faults);
-  pub("kernel.monitor_releases_enqueued", stats_.monitor_releases_enqueued);
-  pub("kernel.monitor_pages_protected", stats_.monitor_pages_protected);
-  pub("kernel.touch_runs_bulk", stats_.touch_runs_bulk);
-  pub("kernel.touch_runs_replayed", stats_.touch_runs_replayed);
-  pub("kernel.tier_demotions", stats_.tier_demotions);
-  pub("kernel.tier_promotions", stats_.tier_promotions);
-  pub("kernel.tier_evictions", stats_.tier_evictions);
-  pub("kernel.tier_writebacks", stats_.tier_writebacks);
-  pub("kernel.swap_reads", swap_->reads());
-  pub("kernel.swap_writes", swap_->writes());
-  pub("kernel.trace_events_dropped", event_log_.dropped());
+  PublishCounters(metrics_, "kernel", stats_);
+  // Totals kept outside KernelStats.
+  metrics_.GetCounter("kernel.swap_reads")->Set(swap_->reads());
+  metrics_.GetCounter("kernel.swap_writes")->Set(swap_->writes());
+  metrics_.GetCounter("kernel.trace_events_dropped")->Set(event_log_.dropped());
   gauge_free_pages_->Set(static_cast<double>(free_list_.size()));
   for (const auto& as : address_spaces_) {
     const MetricLabels labels = {{"as", as->name()}};
-    const AsStats& s = as->stats();
-    metrics_.GetCounter("as.pages_stolen_from", labels)->Set(s.pages_stolen_from);
-    metrics_.GetCounter("as.pages_released", labels)->Set(s.pages_released);
-    metrics_.GetCounter("as.releases_skipped", labels)->Set(s.releases_skipped);
-    metrics_.GetCounter("as.rescued_from_steal", labels)->Set(s.rescued_from_steal);
-    metrics_.GetCounter("as.rescued_from_release", labels)->Set(s.rescued_from_release);
-    metrics_.GetCounter("as.invalidations_received", labels)->Set(s.invalidations_received);
+    PublishCounters(metrics_, "as", as->stats(), labels);
     metrics_.GetGauge("as.resident_pages", labels)
         ->Set(static_cast<double>(as->page_table().resident_count()));
   }

@@ -27,6 +27,7 @@
 #include "src/os/config.h"
 #include "src/os/thread.h"
 #include "src/os/vm_hooks.h"
+#include "src/sim/counters.h"
 #include "src/sim/event_log.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
@@ -42,41 +43,44 @@ class PagingDaemon;
 class Releaser;
 
 // Global memory-management counters (Table 3, Figures 8 and 9).
+#define TMH_KERNEL_STATS(X) \
+  X(daemon_activations)         /* wakeups that found stealing work to do */        \
+  X(daemon_pages_stolen)                                                            \
+  X(daemon_invalidations)       /* reference-bit sampling invalidations */          \
+  X(releaser_batches)                                                               \
+  X(releaser_pages_freed)                                                           \
+  X(releaser_skipped)           /* release requests dropped: page re-referenced */  \
+  X(rescued_daemon_freed)       /* rescues of daemon-freed pages */                 \
+  X(rescued_release_freed)                                                          \
+  X(allocations)                /* frames handed out (page-ins + zero-fills) */     \
+  X(zero_fills)                                                                     \
+  X(writebacks)                 /* dirty page-outs */                               \
+  X(hard_faults)                                                                    \
+  X(soft_faults)                /* daemon-invalidation revalidations */             \
+  X(prefetch_requests)                                                              \
+  X(prefetch_dropped)           /* no free memory: discarded immediately */         \
+  X(prefetch_noop)              /* already resident */                              \
+  X(prefetch_io)                /* actually read from swap */                       \
+  X(release_requests)                                                               \
+  X(release_pages_enqueued)                                                         \
+  X(memory_waits)               /* faults that had to wait for a free frame */      \
+  X(reactive_evictions)         /* pages surrendered via an eviction handler */     \
+  X(local_evictions)            /* self-evictions under local replacement */        \
+  X(readahead_reads)            /* clustered page-ins issued with faults */         \
+  X(monitor_invalidations)      /* access-monitor sampling invalidations */         \
+  X(monitor_soft_faults)        /* revalidations of monitor samples */              \
+  X(monitor_releases_enqueued)  /* releases queued by the schemes engine */         \
+  X(monitor_pages_protected)    /* reference bits re-set for hot regions */         \
+  X(touch_runs_bulk)            /* fused kTouchRun ops validated & charged whole */ \
+  X(touch_runs_replayed)        /* fused ops degraded to the per-touch replay */    \
+  X(tier_demotions)             /* releases that migrated a page to a slow tier */  \
+  X(tier_promotions)            /* touches that migrated a page back to DRAM */     \
+  X(tier_evictions)             /* tier-capacity evictions (cascade or to disk) */  \
+  X(tier_writebacks)            /* dirty last-tier evictions charged a page-out */
 struct KernelStats {
-  uint64_t daemon_activations = 0;   // wakeups that found stealing work to do
-  uint64_t daemon_pages_stolen = 0;
-  uint64_t daemon_invalidations = 0; // reference-bit sampling invalidations
-  uint64_t releaser_batches = 0;
-  uint64_t releaser_pages_freed = 0;
-  uint64_t releaser_skipped = 0;     // release requests dropped: page re-referenced
-  uint64_t rescued_daemon_freed = 0; // rescues of daemon-freed pages
-  uint64_t rescued_release_freed = 0;
-  uint64_t allocations = 0;          // frames handed out (page-ins + zero-fills)
-  uint64_t zero_fills = 0;
-  uint64_t writebacks = 0;           // dirty page-outs
-  uint64_t hard_faults = 0;
-  uint64_t soft_faults = 0;          // daemon-invalidation revalidations
-  uint64_t prefetch_requests = 0;
-  uint64_t prefetch_dropped = 0;     // no free memory: discarded immediately
-  uint64_t prefetch_noop = 0;        // already resident
-  uint64_t prefetch_io = 0;          // actually read from swap
-  uint64_t release_requests = 0;
-  uint64_t release_pages_enqueued = 0;
-  uint64_t memory_waits = 0;         // faults that had to wait for a free frame
-  uint64_t reactive_evictions = 0;   // pages surrendered via an eviction handler
-  uint64_t local_evictions = 0;      // self-evictions under local replacement
-  uint64_t readahead_reads = 0;      // clustered page-ins issued with faults
-  uint64_t monitor_invalidations = 0;     // access-monitor sampling invalidations
-  uint64_t monitor_soft_faults = 0;       // revalidations of monitor samples
-  uint64_t monitor_releases_enqueued = 0; // releases queued by the schemes engine
-  uint64_t monitor_pages_protected = 0;   // reference bits re-set for hot regions
-  uint64_t touch_runs_bulk = 0;      // fused kTouchRun ops validated & charged whole
-  uint64_t touch_runs_replayed = 0;  // fused ops degraded to the per-touch replay
-  uint64_t tier_demotions = 0;       // releases that migrated a page to a slow tier
-  uint64_t tier_promotions = 0;      // touches that migrated a page back to DRAM
-  uint64_t tier_evictions = 0;       // tier-capacity evictions (cascade or to disk)
-  uint64_t tier_writebacks = 0;      // dirty last-tier evictions charged a page-out
+  TMH_KERNEL_STATS(TMH_COUNTER_MEMBER)
 };
+TMH_COUNTER_TABLE(KernelStats, TMH_KERNEL_STATS)
 
 class Kernel {
  public:

@@ -14,6 +14,7 @@
 #include <deque>
 #include <string>
 
+#include "src/sim/counters.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 #include "src/vm/types.h"
@@ -162,15 +163,18 @@ struct TimeBreakdown {
 };
 
 // Per-thread fault statistics (Figures 8 and 10c).
+#define TMH_FAULT_STATS(X) \
+  X(hard_faults)             /* required disk I/O */                        \
+  X(soft_faults)             /* daemon-invalidated revalidations */         \
+  X(fresh_prefetch_touches)  /* first touch of a prefetched page */         \
+  X(rescue_faults)           /* reclaimed from the free list */             \
+  X(zero_fill_faults)                                                       \
+  X(release_saves)           /* touch revalidated a release-pending page */ \
+  X(collapsed_faults)        /* waited on an already-in-flight page-in */
 struct FaultStats {
-  uint64_t hard_faults = 0;          // required disk I/O
-  uint64_t soft_faults = 0;          // daemon-invalidated revalidations
-  uint64_t fresh_prefetch_touches = 0;  // first touch of a prefetched page
-  uint64_t rescue_faults = 0;        // reclaimed from the free list
-  uint64_t zero_fill_faults = 0;
-  uint64_t release_saves = 0;        // touch revalidated a release-pending page
-  uint64_t collapsed_faults = 0;     // waited on an already-in-flight page-in
+  TMH_FAULT_STATS(TMH_COUNTER_MEMBER)
 };
+TMH_COUNTER_TABLE(FaultStats, TMH_FAULT_STATS)
 
 class Thread {
  public:

@@ -30,16 +30,20 @@
 #include "src/os/kernel.h"
 #include "src/os/thread.h"
 #include "src/runtime/runtime_layer.h"
+#include "src/sim/counters.h"
 
 namespace tmh {
 
+#define TMH_INTERPRETER_STATS(X) \
+  X(iterations)           /* innermost iterations executed */           \
+  X(page_touches)         /* array page touches (page crossings) */     \
+  X(nests_entered)                                                      \
+  X(repeats_done)                                                       \
+  X(adaptive_recompiles)  /* nests re-specialized with actual bounds */
 struct InterpreterStats {
-  uint64_t iterations = 0;      // innermost iterations executed
-  uint64_t page_touches = 0;    // array page touches (page crossings)
-  uint64_t nests_entered = 0;
-  uint64_t repeats_done = 0;
-  uint64_t adaptive_recompiles = 0;  // nests re-specialized with actual bounds
+  TMH_INTERPRETER_STATS(TMH_COUNTER_MEMBER)
 };
+TMH_COUNTER_TABLE(InterpreterStats, TMH_INTERPRETER_STATS)
 
 // Strength-reduced address of one array reference within one pass of the
 // innermost loop. The element index is `row_base + coeff * iv`: the outer

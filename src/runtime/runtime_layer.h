@@ -30,6 +30,7 @@
 #include "src/os/address_space.h"
 #include "src/os/thread.h"
 #include "src/runtime/prefetch_pool.h"
+#include "src/sim/counters.h"
 #include "src/sim/time.h"
 #include "src/vm/types.h"
 
@@ -57,22 +58,25 @@ struct RuntimeOptions {
   SimDuration enqueue_cost = 300 * kNsec;    // queue insert + signal
 };
 
+#define TMH_RUNTIME_STATS(X) \
+  X(prefetch_hints)                                                           \
+  X(prefetch_filtered_resident)     /* bitmap said already in memory */       \
+  X(prefetch_enqueued)                                                        \
+  X(release_hints)                                                            \
+  X(release_filtered_not_resident)                                            \
+  X(release_filtered_same_page)     /* tag filter: page still in use */       \
+  X(releases_issued_immediate)      /* aggressive or priority 0 */            \
+  X(releases_buffered)                                                        \
+  X(release_drains)                 /* near-limit batch issues */             \
+  X(releases_issued_from_buffer)                                              \
+  X(buffer_stale_dropped)           /* buffered page no longer resident */    \
+  X(tag_flushes)                                                              \
+  X(reactive_candidates)            /* candidates recorded (reactive mode) */ \
+  X(reactive_served)                /* victims handed to the OS on request */
 struct RuntimeStats {
-  uint64_t prefetch_hints = 0;
-  uint64_t prefetch_filtered_resident = 0;  // bitmap said already in memory
-  uint64_t prefetch_enqueued = 0;
-  uint64_t release_hints = 0;
-  uint64_t release_filtered_not_resident = 0;
-  uint64_t release_filtered_same_page = 0;  // tag filter: page still in use
-  uint64_t releases_issued_immediate = 0;   // aggressive or priority 0
-  uint64_t releases_buffered = 0;
-  uint64_t release_drains = 0;              // near-limit batch issues
-  uint64_t releases_issued_from_buffer = 0;
-  uint64_t buffer_stale_dropped = 0;        // buffered page no longer resident
-  uint64_t tag_flushes = 0;
-  uint64_t reactive_candidates = 0;         // candidates recorded (reactive mode)
-  uint64_t reactive_served = 0;             // victims handed to the OS on request
+  TMH_RUNTIME_STATS(TMH_COUNTER_MEMBER)
 };
+TMH_COUNTER_TABLE(RuntimeStats, TMH_RUNTIME_STATS)
 
 class RuntimeLayer {
  public:

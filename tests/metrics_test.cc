@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/sim/counters.h"
 #include "src/sim/event_log.h"
 #include "src/workloads/workloads.h"
 
@@ -302,17 +303,30 @@ class JsonParser {
 
 // --- Chrome trace export on a real observed run -------------------------------
 
-ExperimentResult RunObservedMatvec(AppVersion version) {
+ExperimentResult RunObservedMatvec(AppVersion version, bool monitor = false) {
   ExperimentSpec spec;
   spec.machine.user_memory_bytes = static_cast<int64_t>(7.5 * 1024 * 1024);
   spec.workload = MakeMatvec(0.1);
   spec.version = version;
   spec.observe = true;
+  spec.monitor = monitor;
   return RunExperiment(spec);
 }
 
+// Expects a `counter <prefix>.<field>{labels} <value>` dump line for every
+// counter in S's table.
+template <typename S>
+void ExpectEveryCounter(const std::string& dump, const std::string& prefix, const S& stats,
+                        const MetricLabels& labels = {}) {
+  ForEachCounter(stats, [&](const char* name, uint64_t value) {
+    const std::string line = "counter " + MetricsRegistry::Key(prefix + "." + name, labels) +
+                             " " + std::to_string(value) + "\n";
+    EXPECT_NE(dump.find(line), std::string::npos) << "missing: " << line;
+  });
+}
+
 TEST(ChromeTraceTest, ExportParsesAndSpansPair) {
-  const ExperimentResult result = RunObservedMatvec(AppVersion::kBuffered);
+  const ExperimentResult result = RunObservedMatvec(AppVersion::kBuffered, /*monitor=*/true);
   ASSERT_TRUE(result.completed);
   ASSERT_FALSE(result.event_log.events().empty());
   EXPECT_EQ(result.event_log.dropped(), 0u);
@@ -387,6 +401,18 @@ TEST(ChromeTraceTest, ExportParsesAndSpansPair) {
   EXPECT_NE(result.metrics_text.find("counter kernel.hard_faults"), std::string::npos);
   EXPECT_NE(result.metrics_text.find("histogram kernel.fault_service_ns"), std::string::npos);
   EXPECT_NE(result.metrics_text.find("prefetch.queue_wait_ns"), std::string::npos);
+
+  // Every counter of every stats struct reaches the dump with its end-of-run
+  // value: kernel-wide and monitor counters unlabeled, the rest per AS.
+  ASSERT_TRUE(result.app.runtime.has_value());
+  ASSERT_TRUE(result.monitor.has_value());
+  const MetricLabels app = {{"as", "MATVEC"}};
+  ExpectEveryCounter(result.metrics_text, "kernel", result.kernel);
+  ExpectEveryCounter(result.metrics_text, "as", result.app.as_stats, app);
+  ExpectEveryCounter(result.metrics_text, "faults", result.app.faults, app);
+  ExpectEveryCounter(result.metrics_text, "runtime", *result.app.runtime, app);
+  ExpectEveryCounter(result.metrics_text, "interp", result.app.interp, app);
+  ExpectEveryCounter(result.metrics_text, "monitor", *result.monitor);
 }
 
 TEST(ChromeTraceTest, DisabledRunRecordsNothing) {

@@ -76,8 +76,6 @@ void ExpectIdentical(const ExperimentResult& fused, const ExperimentResult& plai
   EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(KernelStats)));
   EXPECT_EQ(fused.swap_reads, plain.swap_reads);
   EXPECT_EQ(fused.swap_writes, plain.swap_writes);
-  EXPECT_EQ(fused.free_list_rescues, plain.free_list_rescues);
-  EXPECT_EQ(fused.daemon_activations, plain.daemon_activations);
   // Fusion batches ops, not events: slice boundaries, faults, I/O, and wakes
   // all land at the same instants, so the event total is preserved too.
   EXPECT_EQ(fused.sim_events, plain.sim_events);

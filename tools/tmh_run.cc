@@ -13,6 +13,7 @@
 //
 // Run with --help for the full flag list, --list for the workload roster.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "src/core/html_report.h"
 #include "src/core/report.h"
 #include "src/core/sweep.h"
+#include "src/sim/counters.h"
 #include "src/workloads/extra.h"
 #include "src/workloads/workloads.h"
 
@@ -41,7 +43,7 @@ struct Flags {
   std::string trace_out_path;    // Chrome tracing JSON (structured event log)
   std::string metrics_out_path;  // metrics registry text dump
   double trace_period_s = 0.1;
-  int64_t memory_mb = 0;          // 0 = scale the 75 MB default
+  int64_t memory_mb = 0;          // 0 (not passed) = scale the 75 MB default
   int num_nodes = 1;              // NUMA-style frame-pool nodes
   std::vector<int64_t> tiers;     // slow-tier frame counts, DRAM-adjacent first
   int64_t local_partition = 0;    // pages; 0 = global replacement
@@ -136,6 +138,12 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
       return argv[++i];
     };
+    auto require = [](bool ok, const char* message) {
+      if (!ok) {
+        std::fprintf(stderr, "%s\n", message);
+        std::exit(2);
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       std::exit(0);
@@ -148,43 +156,40 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->version = next("--version");
     } else if (arg == "--scale") {
       flags->scale = std::atof(next("--scale"));
+      require(flags->scale > 0 && flags->scale <= 1.0, "--scale must be in (0, 1]");
     } else if (arg == "--memory-mb") {
       flags->memory_mb = std::atoll(next("--memory-mb"));
+      require(flags->memory_mb >= 1, "--memory-mb must be >= 1");
     } else if (arg == "--nodes") {
       flags->num_nodes = std::atoi(next("--nodes"));
-      if (flags->num_nodes < 1 || flags->num_nodes > 64) {
-        std::fprintf(stderr, "--nodes must be in [1, 64]\n");
-        std::exit(2);
-      }
+      require(flags->num_nodes >= 1 && flags->num_nodes <= 64, "--nodes must be in [1, 64]");
     } else if (arg == "--tiers") {
       for (const std::string& part : SplitList(next("--tiers"))) {
         const int64_t frames = std::atoll(part.c_str());
-        if (frames < 1) {
-          std::fprintf(stderr, "--tiers wants positive frame counts\n");
-          std::exit(2);
-        }
+        require(frames >= 1, "--tiers wants positive frame counts");
         flags->tiers.push_back(frames);
       }
     } else if (arg == "--interactive") {
       flags->interactive = true;
     } else if (arg == "--sleep") {
       flags->sleep_s = std::atof(next("--sleep"));
+      require(flags->sleep_s >= 0, "--sleep must be >= 0");
     } else if (arg == "--adaptive") {
       flags->adaptive = true;
     } else if (arg == "--oracle") {
       flags->oracle = true;
     } else if (arg == "--local-partition") {
       flags->local_partition = std::atoll(next("--local-partition"));
+      require(flags->local_partition >= 0, "--local-partition must be >= 0");
     } else if (arg == "--batch") {
       flags->release_batch = std::atoi(next("--batch"));
+      require(flags->release_batch >= 1, "--batch must be >= 1");
     } else if (arg == "--threads") {
       flags->prefetch_threads = std::atoi(next("--threads"));
+      require(flags->prefetch_threads >= 1, "--threads must be >= 1");
     } else if (arg == "--jobs") {
       flags->jobs = std::atoi(next("--jobs"));
-      if (flags->jobs < 0) {
-        std::fprintf(stderr, "--jobs must be >= 0\n");
-        std::exit(2);
-      }
+      require(flags->jobs >= 0, "--jobs must be >= 0");
     } else if (arg == "--drain-mru") {
       flags->drain_newest_first = true;
     } else if (arg == "--checks") {
@@ -197,10 +202,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--monitor-period") {
       flags->monitor = true;
       flags->monitor_period_ms = std::atof(next("--monitor-period"));
-      if (flags->monitor_period_ms <= 0) {
-        std::fprintf(stderr, "--monitor-period must be > 0\n");
-        std::exit(2);
-      }
+      require(flags->monitor_period_ms > 0, "--monitor-period must be > 0");
     } else if (arg == "--json") {
       flags->json = true;
     } else if (arg == "--trace") {
@@ -213,6 +215,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->html_path = next("--html");
     } else if (arg == "--trace-period") {
       flags->trace_period_s = std::atof(next("--trace-period"));
+      require(flags->trace_period_s > 0, "--trace-period must be > 0");
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg.c_str());
       return false;
@@ -328,7 +331,20 @@ int RunSweep(const Flags& flags, const std::vector<const tmh::WorkloadInfo*>& in
   return all_completed ? 0 : 1;
 }
 
-// Machine-readable dump of the headline metrics (stable key names).
+// Prints `,\n  "key": {...}` with one member per counter, keyed by field name.
+template <typename S>
+void PrintJsonCounters(const char* key, const S& stats) {
+  std::printf(",\n  \"%s\": {", key);
+  const char* sep = "";
+  tmh::ForEachCounter(stats, [&sep](const char* name, uint64_t value) {
+    std::printf("%s\"%s\": %llu", sep, name, (unsigned long long)value);
+    sep = ", ";
+  });
+  std::printf("}");
+}
+
+// Machine-readable dump of the run: times and swap totals, then every counter
+// of the app's FaultStats, KernelStats, RuntimeStats and MonitorStats.
 void PrintJson(const Flags& flags, const tmh::WorkloadInfo& info,
                const tmh::ExperimentSpec& spec, const tmh::ExperimentResult& result) {
   const tmh::TimeBreakdown& t = result.app.times;
@@ -341,50 +357,15 @@ void PrintJson(const Flags& flags, const tmh::WorkloadInfo& info,
               "\"resource_stall\": %.6f, \"io_stall\": %.6f},\n",
               tmh::ToSeconds(t.Execution()), tmh::ToSeconds(t.user), tmh::ToSeconds(t.system),
               tmh::ToSeconds(t.resource_stall), tmh::ToSeconds(t.io_stall));
-  const tmh::FaultStats& f = result.app.faults;
-  std::printf("  \"faults\": {\"hard\": %llu, \"collapsed\": %llu, \"soft\": %llu, "
-              "\"rescue\": %llu, \"zero_fill\": %llu, \"release_saves\": %llu},\n",
-              (unsigned long long)f.hard_faults, (unsigned long long)f.collapsed_faults,
-              (unsigned long long)f.soft_faults, (unsigned long long)f.rescue_faults,
-              (unsigned long long)f.zero_fill_faults, (unsigned long long)f.release_saves);
-  std::printf("  \"kernel\": {\"daemon_activations\": %llu, \"daemon_pages_stolen\": %llu, "
-              "\"daemon_invalidations\": %llu, \"releaser_pages_freed\": %llu, "
-              "\"reactive_evictions\": %llu, \"local_evictions\": %llu, "
-              "\"rescued\": %llu},\n",
-              (unsigned long long)result.kernel.daemon_activations,
-              (unsigned long long)result.kernel.daemon_pages_stolen,
-              (unsigned long long)result.kernel.daemon_invalidations,
-              (unsigned long long)result.kernel.releaser_pages_freed,
-              (unsigned long long)result.kernel.reactive_evictions,
-              (unsigned long long)result.kernel.local_evictions,
-              (unsigned long long)(result.kernel.rescued_daemon_freed +
-                                   result.kernel.rescued_release_freed));
-  std::printf("  \"touch_runs\": {\"bulk\": %llu, \"replayed\": %llu},\n",
-              (unsigned long long)result.kernel.touch_runs_bulk,
-              (unsigned long long)result.kernel.touch_runs_replayed);
   std::printf("  \"swap\": {\"reads\": %llu, \"writes\": %llu}",
               (unsigned long long)result.swap_reads, (unsigned long long)result.swap_writes);
-  if (spec.machine.has_slow_tiers()) {
-    std::printf(",\n  \"tiers\": {\"demotions\": %llu, \"promotions\": %llu, "
-                "\"evictions\": %llu, \"writebacks\": %llu}",
-                (unsigned long long)result.kernel.tier_demotions,
-                (unsigned long long)result.kernel.tier_promotions,
-                (unsigned long long)result.kernel.tier_evictions,
-                (unsigned long long)result.kernel.tier_writebacks);
+  PrintJsonCounters("faults", result.app.faults);
+  PrintJsonCounters("kernel", result.kernel);
+  if (result.app.runtime.has_value()) {
+    PrintJsonCounters("runtime", *result.app.runtime);
   }
   if (result.monitor.has_value()) {
-    const tmh::MonitorStats& mo = *result.monitor;
-    std::printf(",\n  \"monitor\": {\"ticks\": %llu, \"aggregations\": %llu, "
-                "\"samples_armed\": %llu, \"samples_hit\": %llu, \"max_regions\": %llu, "
-                "\"splits\": %llu, \"merges\": %llu, \"cold_pages_enqueued\": %llu, "
-                "\"hot_pages_protected\": %llu, \"soft_faults\": %llu}",
-                (unsigned long long)mo.ticks, (unsigned long long)mo.aggregations,
-                (unsigned long long)mo.samples_armed, (unsigned long long)mo.samples_hit,
-                (unsigned long long)mo.max_regions_seen, (unsigned long long)mo.region_splits,
-                (unsigned long long)mo.region_merges,
-                (unsigned long long)mo.cold_pages_enqueued,
-                (unsigned long long)mo.hot_pages_protected,
-                (unsigned long long)result.kernel.monitor_soft_faults);
+    PrintJsonCounters("monitor", *result.monitor);
   }
   if (result.interactive.has_value()) {
     const tmh::InteractiveMetrics& im = *result.interactive;
@@ -401,10 +382,6 @@ void PrintJson(const Flags& flags, const tmh::WorkloadInfo& info,
 int main(int argc, char** argv) {
   Flags flags;
   if (!ParseFlags(argc, argv, &flags)) {
-    return 2;
-  }
-  if (flags.scale <= 0 || flags.scale > 1.0) {
-    std::fprintf(stderr, "--scale must be in (0, 1]\n");
     return 2;
   }
   // Expand --workload / --version lists. "all" covers the paper roster and
@@ -516,59 +493,24 @@ int main(int argc, char** argv) {
   times.Print();
   std::printf("\n");
 
+  // One row per nonzero counter, grouped by stats struct.
   tmh::ReportTable counters({"counter", "value"});
-  const tmh::FaultStats& f = result.app.faults;
-  counters.AddRow({"hard faults", tmh::FormatCount(f.hard_faults)});
-  counters.AddRow({"collapsed faults", tmh::FormatCount(f.collapsed_faults)});
-  counters.AddRow({"soft faults", tmh::FormatCount(f.soft_faults)});
-  counters.AddRow({"rescue faults", tmh::FormatCount(f.rescue_faults)});
-  counters.AddRow({"zero-fill faults", tmh::FormatCount(f.zero_fill_faults)});
+  const auto add_rows = [&counters](const char* prefix, const auto& stats) {
+    tmh::ForEachCounter(stats, [&](const char* name, uint64_t value) {
+      if (value != 0) {
+        counters.AddRow({std::string(prefix) + "." + name, tmh::FormatCount(value)});
+      }
+    });
+  };
   counters.AddRow({"swap reads / writes", tmh::FormatCount(result.swap_reads) + " / " +
                                               tmh::FormatCount(result.swap_writes)});
-  counters.AddRow({"daemon activations", tmh::FormatCount(result.kernel.daemon_activations)});
-  counters.AddRow({"daemon pages stolen", tmh::FormatCount(result.kernel.daemon_pages_stolen)});
-  counters.AddRow({"daemon invalidations", tmh::FormatCount(result.kernel.daemon_invalidations)});
-  counters.AddRow({"releaser pages freed", tmh::FormatCount(result.kernel.releaser_pages_freed)});
-  counters.AddRow({"reactive evictions", tmh::FormatCount(result.kernel.reactive_evictions)});
-  counters.AddRow({"local evictions", tmh::FormatCount(result.kernel.local_evictions)});
-  counters.AddRow({"pages rescued", tmh::FormatCount(result.kernel.rescued_daemon_freed +
-                                                     result.kernel.rescued_release_freed)});
-  counters.AddRow({"touch runs bulk / replayed",
-                   tmh::FormatCount(result.kernel.touch_runs_bulk) + " / " +
-                       tmh::FormatCount(result.kernel.touch_runs_replayed)});
-  if (spec.machine.has_slow_tiers()) {
-    counters.AddRow({"tier demotions / promotions",
-                     tmh::FormatCount(result.kernel.tier_demotions) + " / " +
-                         tmh::FormatCount(result.kernel.tier_promotions)});
-    counters.AddRow({"tier evictions (writebacks)",
-                     tmh::FormatCount(result.kernel.tier_evictions) + " (" +
-                         tmh::FormatCount(result.kernel.tier_writebacks) + ")"});
+  add_rows("faults", result.app.faults);
+  add_rows("kernel", result.kernel);
+  if (result.app.runtime.has_value()) {
+    add_rows("runtime", *result.app.runtime);
   }
   if (result.monitor.has_value()) {
-    const tmh::MonitorStats& mo = *result.monitor;
-    counters.AddRow({"monitor samples (hits)", tmh::FormatCount(mo.samples_armed) + " (" +
-                                                   tmh::FormatCount(mo.samples_hit) + ")"});
-    counters.AddRow({"monitor regions (max)", tmh::FormatCount(mo.max_regions_seen)});
-    counters.AddRow({"monitor splits / merges", tmh::FormatCount(mo.region_splits) + " / " +
-                                                    tmh::FormatCount(mo.region_merges)});
-    counters.AddRow({"monitor cold releases", tmh::FormatCount(mo.cold_pages_enqueued)});
-    counters.AddRow({"monitor hot protects", tmh::FormatCount(mo.hot_pages_protected)});
-    counters.AddRow(
-        {"monitor soft faults", tmh::FormatCount(result.kernel.monitor_soft_faults)});
-  }
-  if (result.app.runtime.has_value()) {
-    const tmh::RuntimeStats& rt = *result.app.runtime;
-    counters.AddRow({"prefetch hints (filtered)",
-                     tmh::FormatCount(rt.prefetch_hints) + " (" +
-                         tmh::FormatCount(rt.prefetch_filtered_resident) + ")"});
-    counters.AddRow({"release hints (filtered)",
-                     tmh::FormatCount(rt.release_hints) + " (" +
-                         tmh::FormatCount(rt.release_filtered_same_page +
-                                          rt.release_filtered_not_resident) +
-                         ")"});
-    counters.AddRow({"releases buffered / drained",
-                     tmh::FormatCount(rt.releases_buffered) + " / " +
-                         tmh::FormatCount(rt.releases_issued_from_buffer)});
+    add_rows("monitor", *result.monitor);
   }
   counters.Print();
 
