@@ -12,9 +12,19 @@ namespace {
 // True when a page-in is in flight for (as, vpage) on its linked frame: the
 // frame carries the page's identity, is mid-I/O, and does not yet hold valid
 // contents (a writeback in flight has contents_valid == true).
-bool PageInInFlight(const Frame& fr, AsId as, VPage vpage) {
-  return fr.owner == as && fr.vpage == vpage && fr.io_busy && !fr.mapped &&
-         !fr.contents_valid;
+inline bool PageInInFlight(const FrameTable& frames, FrameId f, AsId as, VPage vpage) {
+  return frames.IsPage(f, as, vpage) && frames.io_busy(f) && !frames.mapped(f) &&
+         !frames.contents_valid(f);
+}
+
+// The residency-bitmap bit I-BM requires for a materialized page: set iff the
+// page holds an allocated frame — resident and not release-pending, or a
+// page-in in flight on its linked frame.
+inline bool BitmapBitExpected(const FrameTable& frames, const Pte& pte, AsId as, VPage vpage) {
+  if (pte.resident) {
+    return pte.invalid_reason != InvalidReason::kReleasePending;
+  }
+  return pte.frame != kNoFrame && PageInInFlight(frames, pte.frame, as, vpage);
 }
 
 }  // namespace
@@ -124,45 +134,216 @@ std::string InvariantChecker::TailDump() const {
   return os.str();
 }
 
+bool InvariantChecker::ReleaseQueued(Kernel& kernel, const AddressSpace& as, VPage v) {
+  if (queued_built_pass_ != pass_) {
+    // Mark every queued page once per pass: the kernel's release queue plus
+    // the releaser's gathered-but-unresolved batch. A page is queued in this
+    // pass iff its mark equals pass_, so no mark is ever cleared.
+    queued_built_pass_ = pass_;
+    const auto mark = [this](const AddressSpace& owner, VPage page) {
+      const auto id = static_cast<size_t>(owner.id());
+      if (id >= queued_.size()) {
+        queued_.resize(id + 1);
+      }
+      std::vector<uint64_t>& pages = queued_[id];
+      if (pages.size() < static_cast<size_t>(owner.num_pages())) {
+        pages.resize(static_cast<size_t>(owner.num_pages()), 0);
+      }
+      if (page >= 0 && page < owner.num_pages()) {
+        pages[static_cast<size_t>(page)] = pass_;
+      }
+    };
+    for (const Kernel::ReleaseWorkItem& item : kernel.release_work()) {
+      mark(*item.as, item.vpage);
+    }
+    if (kernel.has_daemons()) {
+      if (const AddressSpace* batch_as = kernel.releaser().batch_as()) {
+        for (const Releaser::BatchEntry& entry : kernel.releaser().UnresolvedBatch()) {
+          mark(*batch_as, entry.vpage);
+        }
+      }
+    }
+  }
+  const auto id = static_cast<size_t>(as.id());
+  return id < queued_.size() && static_cast<size_t>(v) < queued_[id].size() &&
+         queued_[id][static_cast<size_t>(v)] == pass_;
+}
+
+bool InvariantChecker::CheckPage(Kernel& kernel, const AddressSpace& as, VPage v) {
+  const SimTime now = kernel.Now();
+  const FrameTable& frames = kernel.frames();
+  const int64_t num_frames = frames.size();
+  const Pte& pte = as.page_table().at(v);
+  if (pte.resident) {
+    if (pte.frame < 0 || pte.frame >= num_frames) {
+      Fail(now, "I-PT",
+           "resident page as=" + std::to_string(as.id()) + " vpage=" +
+               std::to_string(v) + " has invalid frame " + std::to_string(pte.frame));
+      return false;
+    }
+    if (!frames.mapped(pte.frame) || !frames.IsPage(pte.frame, as.id(), v)) {
+      Fail(now, "I-PT",
+           "resident page as=" + std::to_string(as.id()) + " vpage=" +
+               std::to_string(v) + " frame=" + std::to_string(pte.frame) +
+               " does not carry the page's identity");
+      return false;
+    }
+    if (!pte.ever_materialized) {
+      Fail(now, "I-PT",
+           "resident page as=" + std::to_string(as.id()) + " vpage=" +
+               std::to_string(v) + " was never materialized");
+      return false;
+    }
+    if (pte.valid && pte.invalid_reason != InvalidReason::kNone) {
+      Fail(now, "I-PT",
+           "valid page as=" + std::to_string(as.id()) + " vpage=" +
+               std::to_string(v) + " carries an invalid_reason");
+      return false;
+    }
+  } else {
+    if (pte.valid) {
+      Fail(now, "I-PT",
+           "non-resident page as=" + std::to_string(as.id()) + " vpage=" +
+               std::to_string(v) + " is marked valid");
+      return false;
+    }
+    if (pte.frame != kNoFrame) {
+      // I-RL: a dangling link must still name a frame with this identity
+      // (AllocateFrame breaks the link before reassigning the frame).
+      if (pte.frame < 0 || pte.frame >= num_frames) {
+        Fail(now, "I-RL",
+             "rescue link as=" + std::to_string(as.id()) + " vpage=" +
+                 std::to_string(v) + " names invalid frame " +
+                 std::to_string(pte.frame));
+        return false;
+      }
+      if (!frames.IsPage(pte.frame, as.id(), v)) {
+        Fail(now, "I-RL",
+             "rescue link as=" + std::to_string(as.id()) + " vpage=" +
+                 std::to_string(v) + " frame=" + std::to_string(pte.frame) +
+                 " points at a frame now owned by as=" +
+                 std::to_string(frames.owner(pte.frame)) +
+                 " vpage=" + std::to_string(frames.vpage(pte.frame)));
+        return false;
+      }
+    }
+  }
+  if (pte.tier != 0) {
+    // I-TIER (page side): a tiered page is never resident, keeps no DRAM
+    // rescue link, and its tier frame must carry the page's identity.
+    const auto& planes = kernel.tier_planes();
+    if (static_cast<size_t>(pte.tier) > planes.size()) {
+      Fail(now, "I-TIER",
+           "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
+               " names slow tier " + std::to_string(pte.tier) +
+               " but the machine has " + std::to_string(planes.size()));
+      return false;
+    }
+    if (pte.resident) {
+      Fail(now, "I-TIER",
+           "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
+               " is resident while demoted to tier " + std::to_string(pte.tier));
+      return false;
+    }
+    if (pte.frame != kNoFrame) {
+      Fail(now, "I-TIER",
+           "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
+               " keeps DRAM rescue link " + std::to_string(pte.frame) +
+               " while demoted");
+      return false;
+    }
+    const Kernel::TierPlane& plane = planes[static_cast<size_t>(pte.tier - 1)];
+    if (pte.tier_frame < 0 || pte.tier_frame >= plane.frames) {
+      Fail(now, "I-TIER",
+           "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
+               " names out-of-range tier frame " + std::to_string(pte.tier_frame));
+      return false;
+    }
+    const size_t ti = static_cast<size_t>(pte.tier_frame);
+    if (plane.owner[ti] != as.id() || plane.vpage[ti] != v) {
+      Fail(now, "I-TIER",
+           "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
+               " tier frame " + std::to_string(pte.tier_frame) +
+               " does not carry the page's identity");
+      return false;
+    }
+  }
+  if (pte.invalid_reason == InvalidReason::kReleasePending) {
+    if (!pte.resident) {
+      Fail(now, "I-RQ",
+           "release-pending page as=" + std::to_string(as.id()) + " vpage=" +
+               std::to_string(v) + " is not resident");
+      return false;
+    }
+    if (!ReleaseQueued(kernel, as, v)) {
+      Fail(now, "I-RQ",
+           "release-pending page as=" + std::to_string(as.id()) + " vpage=" +
+               std::to_string(v) +
+               " is neither queued nor in the releaser's unresolved batch");
+      return false;
+    }
+  }
+  return true;
+}
+
 void InvariantChecker::Validate(Kernel& kernel) {
+  ++pass_;
+  const bool with_oracle = options_.with_oracle;
   const SimTime now = kernel.Now();
   const FrameTable& frames = kernel.frames();
   const FramePool& free_list = kernel.free_list();
   const int64_t num_frames = frames.size();
 
-  // I-FL: walk the intrusive links of every node's list into one snapshot
-  // (node order) and check its structure, plus per-node range containment —
-  // a shard must only ever hold frames from its own contiguous range.
-  const std::vector<FrameId> free_vec = free_list.ToVector();
-  if (static_cast<int64_t>(free_vec.size()) != free_list.size()) {
+  // I-FL: walk the intrusive links of every node's list once into the scratch
+  // snapshot (node order) and check its structure, plus per-node range
+  // containment — a shard must only ever hold frames from its own contiguous
+  // range. The walk stops at an out-of-range id (its links cannot be followed)
+  // and after size()+1 frames (a cycle), so corrupt links are reported, not
+  // chased.
+  free_walk_.clear();
+  node_walk_end_.clear();
+  const auto walk_limit = static_cast<size_t>(free_list.size()) + 1;
+  for (int node = 0; node < free_list.num_nodes(); ++node) {
+    free_list.WalkNode(node, [&](FrameId f) {
+      if (free_walk_.size() >= walk_limit) {
+        return false;
+      }
+      free_walk_.push_back(f);
+      return f >= 0 && f < num_frames;
+    });
+    node_walk_end_.push_back(free_walk_.size());
+  }
+  if (static_cast<int64_t>(free_walk_.size()) != free_list.size()) {
     Fail(now, "I-FL",
-         "free-list link walk found " + std::to_string(free_vec.size()) +
+         "free-list link walk found " + std::to_string(free_walk_.size()) +
              " frames but size() is " + std::to_string(free_list.size()));
     return;
   }
-  std::vector<char> on_free(static_cast<size_t>(num_frames), 0);
-  for (const FrameId f : free_vec) {
+  on_free_.assign(static_cast<size_t>(num_frames), 0);
+  for (const FrameId f : free_walk_) {
     if (f < 0 || f >= num_frames) {
       Fail(now, "I-FL", "free list contains out-of-range frame " + std::to_string(f));
       return;
     }
-    if (on_free[static_cast<size_t>(f)] != 0) {
+    if (on_free_[static_cast<size_t>(f)] != 0) {
       Fail(now, "I-FL", "free list contains frame " + std::to_string(f) + " twice");
       return;
     }
-    on_free[static_cast<size_t>(f)] = 1;
-    const Frame& fr = frames.at(f);
-    if (fr.mapped || fr.io_busy || fr.dirty) {
+    on_free_[static_cast<size_t>(f)] = 1;
+    const bool mapped = frames.mapped(f);
+    const bool io_busy = frames.io_busy(f);
+    if (mapped || io_busy || frames.dirty(f)) {
       Fail(now, "I-FL",
            "free frame " + std::to_string(f) + " is " +
-               (fr.mapped ? "mapped" : fr.io_busy ? "io-busy" : "dirty"));
+               (mapped ? "mapped" : io_busy ? "io-busy" : "dirty"));
       return;
     }
   }
+  size_t node_begin = 0;
   for (int node = 0; node < free_list.num_nodes(); ++node) {
-    int64_t walked = 0;
-    for (const FrameId f : free_list.NodeToVector(node)) {
-      ++walked;
+    const size_t node_end = node_walk_end_[static_cast<size_t>(node)];
+    for (size_t i = node_begin; i < node_end; ++i) {
+      const FrameId f = free_walk_[i];
       if (free_list.NodeOf(f) != node) {
         Fail(now, "I-FL",
              "node " + std::to_string(node) + " free list holds frame " +
@@ -171,6 +352,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
         return;
       }
     }
+    const auto walked = static_cast<int64_t>(node_end - node_begin);
     if (walked != free_list.node_size(node)) {
       Fail(now, "I-FL",
            "node " + std::to_string(node) + " link walk found " +
@@ -178,38 +360,47 @@ void InvariantChecker::Validate(Kernel& kernel) {
                std::to_string(free_list.node_size(node)));
       return;
     }
+    node_begin = node_end;
   }
 
-  // I-FT + I-ONE over the frame table.
+  // I-FT + I-ONE over the frame table. The same walk finds the first frame
+  // whose dirty bit differs from the oracle's; that is reported in the
+  // oracle section below, keeping the order in which checks fail.
   const auto& address_spaces = kernel.address_spaces();
+  FrameId dirty_mismatch = kNoFrame;
   for (FrameId f = 0; f < num_frames; ++f) {
-    const Frame& fr = frames.at(f);
-    if (fr.mapped) {
-      if (fr.owner < 0 || static_cast<size_t>(fr.owner) >= address_spaces.size()) {
+    if (with_oracle && dirty_mismatch == kNoFrame &&
+        frames.dirty(f) != oracle_.IsDirty(f)) {
+      dirty_mismatch = f;
+    }
+    if (frames.mapped(f)) {
+      const AsId owner = frames.owner(f);
+      const VPage vpage = frames.vpage(f);
+      if (owner < 0 || static_cast<size_t>(owner) >= address_spaces.size()) {
         Fail(now, "I-FT",
              "mapped frame " + std::to_string(f) + " has invalid owner " +
-                 std::to_string(fr.owner));
+                 std::to_string(owner));
         return;
       }
-      const AddressSpace& as = *address_spaces[static_cast<size_t>(fr.owner)];
-      if (fr.vpage < 0 || fr.vpage >= as.num_pages()) {
+      const AddressSpace& as = *address_spaces[static_cast<size_t>(owner)];
+      if (vpage < 0 || vpage >= as.num_pages()) {
         Fail(now, "I-FT",
              "mapped frame " + std::to_string(f) + " has out-of-range vpage " +
-                 std::to_string(fr.vpage));
+                 std::to_string(vpage));
         return;
       }
-      const Pte& pte = as.page_table().at(fr.vpage);
+      const Pte& pte = as.page_table().at(vpage);
       if (!pte.resident || pte.frame != f) {
         Fail(now, "I-FT",
-             "mapped frame " + std::to_string(f) + " (as=" + std::to_string(fr.owner) +
-                 " vpage=" + std::to_string(fr.vpage) + ") not reflected in the PTE");
+             "mapped frame " + std::to_string(f) + " (as=" + std::to_string(owner) +
+                 " vpage=" + std::to_string(vpage) + ") not reflected in the PTE");
         return;
       }
-      if (fr.io_busy) {
+      if (frames.io_busy(f)) {
         Fail(now, "I-ONE", "frame " + std::to_string(f) + " is mapped while io-busy");
         return;
       }
-    } else if (on_free[static_cast<size_t>(f)] == 0 && !fr.io_busy) {
+    } else if (on_free_[static_cast<size_t>(f)] == 0 && !frames.io_busy(f)) {
       Fail(now, "I-ONE",
            "frame " + std::to_string(f) +
                " is in limbo: not mapped, not free-listed, not io-busy");
@@ -217,141 +408,50 @@ void InvariantChecker::Validate(Kernel& kernel) {
     }
   }
 
-  // I-PT, I-RL, I-RQ, I-BM over each address space.
-  for (const auto& as_ptr : address_spaces) {
-    const AddressSpace& as = *as_ptr;
+  // I-PT, I-RL, I-TIER (page side), I-RQ and I-BM in one walk over each
+  // address space's page table. The walk also finds each address space's
+  // first page whose frame differs from the oracle's; I-BM and oracle
+  // mismatches are reported at their own places below, keeping the order in
+  // which checks fail.
+  oracle_page_mismatch_.assign(address_spaces.size(), kNoVPage);
+  for (size_t ai = 0; ai < address_spaces.size(); ++ai) {
+    const AddressSpace& as = *address_spaces[ai];
     const PageTable& pt = as.page_table();
+    // I-BM covers materialized pages only: never-touched pages keep whatever
+    // AttachPagingDirected left (bits outside the attached range are set).
+    // Assumes attachment precedes materialization, as the runtime layer
+    // guarantees.
+    const ResidencyBitmap* bm = as.HasPagingDirected() ? as.bitmap() : nullptr;
+    VPage bm_mismatch = kNoVPage;
+    VPage oracle_mismatch = kNoVPage;
+    const std::span<const FrameId> model_frames = oracle_.PageFrames(as.id());
     int64_t resident = 0;
     for (VPage v = 0; v < as.num_pages(); ++v) {
       const Pte& pte = pt.at(v);
       if (pte.resident) {
         ++resident;
-        if (pte.frame < 0 || pte.frame >= num_frames) {
-          Fail(now, "I-PT",
-               "resident page as=" + std::to_string(as.id()) + " vpage=" +
-                   std::to_string(v) + " has invalid frame " + std::to_string(pte.frame));
-          return;
-        }
-        const Frame& fr = frames.at(pte.frame);
-        if (!fr.mapped || fr.owner != as.id() || fr.vpage != v) {
-          Fail(now, "I-PT",
-               "resident page as=" + std::to_string(as.id()) + " vpage=" +
-                   std::to_string(v) + " frame=" + std::to_string(pte.frame) +
-                   " does not carry the page's identity");
-          return;
-        }
-        if (!pte.ever_materialized) {
-          Fail(now, "I-PT",
-               "resident page as=" + std::to_string(as.id()) + " vpage=" +
-                   std::to_string(v) + " was never materialized");
-          return;
-        }
-        if (pte.valid && pte.invalid_reason != InvalidReason::kNone) {
-          Fail(now, "I-PT",
-               "valid page as=" + std::to_string(as.id()) + " vpage=" +
-                   std::to_string(v) + " carries an invalid_reason");
-          return;
-        }
-      } else {
-        if (pte.valid) {
-          Fail(now, "I-PT",
-               "non-resident page as=" + std::to_string(as.id()) + " vpage=" +
-                   std::to_string(v) + " is marked valid");
-          return;
-        }
-        if (pte.frame != kNoFrame) {
-          // I-RL: a dangling link must still name a frame with this identity
-          // (AllocateFrame breaks the link before reassigning the frame).
-          if (pte.frame < 0 || pte.frame >= num_frames) {
-            Fail(now, "I-RL",
-                 "rescue link as=" + std::to_string(as.id()) + " vpage=" +
-                     std::to_string(v) + " names invalid frame " +
-                     std::to_string(pte.frame));
-            return;
-          }
-          const Frame& fr = frames.at(pte.frame);
-          if (fr.owner != as.id() || fr.vpage != v) {
-            Fail(now, "I-RL",
-                 "rescue link as=" + std::to_string(as.id()) + " vpage=" +
-                     std::to_string(v) + " frame=" + std::to_string(pte.frame) +
-                     " points at a frame now owned by as=" + std::to_string(fr.owner) +
-                     " vpage=" + std::to_string(fr.vpage));
-            return;
-          }
-        }
       }
-      if (pte.tier != 0) {
-        // I-TIER (page side): a tiered page is never resident, keeps no DRAM
-        // rescue link, and its tier frame must carry the page's identity.
-        const auto& planes = kernel.tier_planes();
-        if (static_cast<size_t>(pte.tier) > planes.size()) {
-          Fail(now, "I-TIER",
-               "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
-                   " names slow tier " + std::to_string(pte.tier) +
-                   " but the machine has " + std::to_string(planes.size()));
-          return;
-        }
-        if (pte.resident) {
-          Fail(now, "I-TIER",
-               "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
-                   " is resident while demoted to tier " + std::to_string(pte.tier));
-          return;
-        }
-        if (pte.frame != kNoFrame) {
-          Fail(now, "I-TIER",
-               "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
-                   " keeps DRAM rescue link " + std::to_string(pte.frame) +
-                   " while demoted");
-          return;
-        }
-        const Kernel::TierPlane& plane = planes[static_cast<size_t>(pte.tier - 1)];
-        if (pte.tier_frame < 0 || pte.tier_frame >= plane.frames) {
-          Fail(now, "I-TIER",
-               "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
-                   " names out-of-range tier frame " + std::to_string(pte.tier_frame));
-          return;
-        }
-        const size_t ti = static_cast<size_t>(pte.tier_frame);
-        if (plane.owner[ti] != as.id() || plane.vpage[ti] != v) {
-          Fail(now, "I-TIER",
-               "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
-                   " tier frame " + std::to_string(pte.tier_frame) +
-                   " does not carry the page's identity");
-          return;
-        }
+      // A quiet page (non-resident, unlinked, untiered, invalid, not
+      // release-pending) gives the page-side checks nothing to test.
+      const bool quiet = !pte.resident && !pte.valid && pte.frame == kNoFrame &&
+                         pte.tier == 0 &&
+                         pte.invalid_reason != InvalidReason::kReleasePending;
+      if (!quiet && !CheckPage(kernel, as, v)) {
+        return;
       }
-      if (pte.invalid_reason == InvalidReason::kReleasePending) {
-        if (!pte.resident) {
-          Fail(now, "I-RQ",
-               "release-pending page as=" + std::to_string(as.id()) + " vpage=" +
-                   std::to_string(v) + " is not resident");
-          return;
-        }
-        bool queued = false;
-        for (const Kernel::ReleaseWorkItem& item : kernel.release_work()) {
-          if (item.as == &as && item.vpage == v) {
-            queued = true;
-            break;
-          }
-        }
-        if (!queued && kernel.has_daemons() &&
-            kernel.releaser().batch_as() == &as) {
-          for (const VPage b : kernel.releaser().UnresolvedBatch()) {
-            if (b == v) {
-              queued = true;
-              break;
-            }
-          }
-        }
-        if (!queued) {
-          Fail(now, "I-RQ",
-               "release-pending page as=" + std::to_string(as.id()) + " vpage=" +
-                   std::to_string(v) +
-                   " is neither queued nor in the releaser's unresolved batch");
-          return;
-        }
+      if (bm != nullptr && bm_mismatch == kNoVPage && pte.ever_materialized &&
+          bm->Test(v) != BitmapBitExpected(frames, pte, as.id(), v)) {
+        bm_mismatch = v;
+      }
+      const FrameId model =
+          static_cast<size_t>(v) < model_frames.size() ? model_frames[static_cast<size_t>(v)]
+                                                      : kNoFrame;
+      if (with_oracle && oracle_mismatch == kNoVPage &&
+          model != (pte.resident ? pte.frame : kNoFrame)) {
+        oracle_mismatch = v;
       }
     }
+    oracle_page_mismatch_[ai] = oracle_mismatch;
     if (resident != pt.resident_count()) {
       Fail(now, "I-PT",
            "as=" + std::to_string(as.id()) + " resident_count() is " +
@@ -360,31 +460,14 @@ void InvariantChecker::Validate(Kernel& kernel) {
       return;
     }
 
-    if (as.HasPagingDirected()) {
-      // I-BM, for materialized pages only: never-touched pages keep whatever
-      // AttachPagingDirected left (bits outside the attached range are set).
-      // Assumes attachment precedes materialization, as the runtime layer
-      // guarantees.
-      const ResidencyBitmap& bm = *as.bitmap();
-      for (VPage v = 0; v < as.num_pages(); ++v) {
-        const Pte& pte = pt.at(v);
-        if (!pte.ever_materialized) {
-          continue;
-        }
-        bool expect_set = false;
-        if (pte.resident) {
-          expect_set = pte.invalid_reason != InvalidReason::kReleasePending;
-        } else if (pte.frame != kNoFrame) {
-          expect_set = PageInInFlight(frames.at(pte.frame), as.id(), v);
-        }
-        if (bm.Test(v) != expect_set) {
-          Fail(now, "I-BM",
-               "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
-                   " bitmap bit is " + (bm.Test(v) ? "set" : "clear") +
-                   " but the page state requires " + (expect_set ? "set" : "clear"));
-          return;
-        }
-      }
+    if (bm_mismatch != kNoVPage) {
+      const VPage v = bm_mismatch;
+      const bool expect_set = BitmapBitExpected(frames, pt.at(v), as.id(), v);
+      Fail(now, "I-BM",
+           "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
+               " bitmap bit is " + (bm->Test(v) ? "set" : "clear") +
+               " but the page state requires " + (expect_set ? "set" : "clear"));
+      return;
     }
   }
 
@@ -448,24 +531,28 @@ void InvariantChecker::Validate(Kernel& kernel) {
 
   // Oracle cross-validation: the reference model must agree exactly,
   // node by node (byte-honest per node).
-  if (options_.with_oracle) {
+  if (with_oracle) {
     if (oracle_.num_nodes() != free_list.num_nodes()) {
       Fail(now, "oracle", "node count differs from the reference model");
       return;
     }
+    node_begin = 0;
     for (int node = 0; node < free_list.num_nodes(); ++node) {
       const std::deque<FrameId>& ofree = oracle_.free_node(node);
-      const std::vector<FrameId> kfree = free_list.NodeToVector(node);
-      if (ofree.size() != kfree.size() ||
-          !std::equal(ofree.begin(), ofree.end(), kfree.begin())) {
+      const size_t node_end = node_walk_end_[static_cast<size_t>(node)];
+      const auto kfree = free_walk_.begin() + static_cast<std::ptrdiff_t>(node_begin);
+      const bool same = ofree.size() == node_end - node_begin &&
+                        std::equal(ofree.begin(), ofree.end(), kfree);
+      node_begin = node_end;
+      if (!same) {
         Fail(now, "oracle",
              "node " + std::to_string(node) +
                  " free-list order differs from the reference model");
         return;
       }
     }
-    for (const auto& as_ptr : address_spaces) {
-      const AddressSpace& as = *as_ptr;
+    for (size_t ai = 0; ai < address_spaces.size(); ++ai) {
+      const AddressSpace& as = *address_spaces[ai];
       if (oracle_.ResidentCount(as.id()) != as.page_table().resident_count()) {
         Fail(now, "oracle",
              "as=" + std::to_string(as.id()) + " resident count " +
@@ -474,29 +561,22 @@ void InvariantChecker::Validate(Kernel& kernel) {
                  std::to_string(oracle_.ResidentCount(as.id())));
         return;
       }
-      for (VPage v = 0; v < as.num_pages(); ++v) {
+      if (const VPage v = oracle_page_mismatch_[ai]; v != kNoVPage) {
         const Pte& pte = as.page_table().at(v);
-        const FrameId model = oracle_.FrameOf(as.id(), v);
-        const FrameId actual = pte.resident ? pte.frame : kNoFrame;
-        if (model != actual) {
-          Fail(now, "oracle",
-               "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
-                   " kernel frame " + std::to_string(actual) + " != model frame " +
-                   std::to_string(model));
-          return;
-        }
-      }
-    }
-    for (FrameId f = 0; f < num_frames; ++f) {
-      const bool kernel_dirty = frames.at(f).dirty;
-      const bool model_dirty = oracle_.dirty().count(f) != 0;
-      if (kernel_dirty != model_dirty) {
         Fail(now, "oracle",
-             "frame " + std::to_string(f) + " dirty bit is " +
-                 (kernel_dirty ? "set" : "clear") + " but the model has it " +
-                 (model_dirty ? "set" : "clear"));
+             "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) +
+                 " kernel frame " + std::to_string(pte.resident ? pte.frame : kNoFrame) +
+                 " != model frame " + std::to_string(oracle_.FrameOf(as.id(), v)));
         return;
       }
+    }
+    if (dirty_mismatch != kNoFrame) {
+      const bool kernel_dirty = frames.dirty(dirty_mismatch);
+      Fail(now, "oracle",
+           "frame " + std::to_string(dirty_mismatch) + " dirty bit is " +
+               (kernel_dirty ? "set" : "clear") + " but the model has it " +
+               (kernel_dirty ? "clear" : "set"));
+      return;
     }
     // Tier cross-validation: per-tier free-list order, occupied page sets,
     // and carried dirty bits must match the model exactly.
@@ -509,9 +589,14 @@ void InvariantChecker::Validate(Kernel& kernel) {
       const Kernel::TierPlane& plane = kernel.tier_planes()[pi];
       const VmOracle::TierModel& model = oracle_.tier(static_cast<int>(pi));
       const std::string tname = "tier " + std::to_string(pi + 1);
-      const std::vector<FrameId> kfree = plane.pool->NodeToVector(0);
-      if (model.free.size() != kfree.size() ||
-          !std::equal(model.free.begin(), model.free.end(), kfree.begin())) {
+      size_t walked = 0;
+      bool same = true;
+      plane.pool->WalkNode(0, [&](FrameId tf) {
+        same = walked < model.free.size() && model.free[walked] == tf;
+        ++walked;
+        return same;
+      });
+      if (!same || walked != model.free.size()) {
         Fail(now, "oracle",
              tname + " free-list order differs from the reference model");
         return;

@@ -55,6 +55,7 @@
 
 namespace tmh {
 
+class AddressSpace;
 class Kernel;
 
 struct CheckOptions {
@@ -98,6 +99,13 @@ class InvariantChecker : public VmChecker {
  private:
   void Fail(SimTime now, const std::string& invariant, const std::string& detail);
   void Validate(Kernel& kernel);
+  // I-PT, I-RL, I-TIER (page side) and I-RQ for one page of `as`. Returns
+  // false after recording the first violation.
+  bool CheckPage(Kernel& kernel, const AddressSpace& as, VPage v);
+  // I-RQ: whether (as, v) is on the kernel's release queue or in the
+  // releaser's unresolved batch. Marks every queued page on the first call of
+  // a pass, so each call after that is one array read.
+  [[nodiscard]] bool ReleaseQueued(Kernel& kernel, const AddressSpace& as, VPage v);
   void MaybeInject(Kernel& kernel);
   [[nodiscard]] std::string TailDump() const;
 
@@ -114,6 +122,16 @@ class InvariantChecker : public VmChecker {
   uint64_t mutations_since_check_ = 0;
   bool injected_ = false;
   std::string failure_;
+
+  // Scratch reused by every Validate pass; once grown to the machine's size
+  // a passing pass allocates nothing.
+  uint64_t pass_ = 0;                   // Validate passes begun
+  std::vector<FrameId> free_walk_;      // every node's free list, node order
+  std::vector<size_t> node_walk_end_;   // per node: end offset in free_walk_
+  std::vector<uint8_t> on_free_;        // per frame: seen on the walk
+  std::vector<VPage> oracle_page_mismatch_;  // per AS: first page off the model
+  std::vector<std::vector<uint64_t>> queued_;  // [as][vpage]: pass found queued
+  uint64_t queued_built_pass_ = 0;      // pass whose queued_ marks are built
 };
 
 }  // namespace tmh

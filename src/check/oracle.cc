@@ -9,37 +9,47 @@ namespace tmh {
 
 void VmOracle::SeedFromKernel(const Kernel& kernel) {
   free_.clear();
-  resident_.clear();
-  mapped_.clear();
+  frame_of_.clear();
+  resident_count_.clear();
+  mapped_as_.clear();
+  mapped_vpage_.clear();
   dirty_.clear();
   writeback_.clear();
+  on_free_.clear();
+  const FrameTable& frames = kernel.frames();
+  if (frames.size() > 0) {
+    GrowFrames(static_cast<FrameId>(frames.size() - 1));
+  }
   // Re-derive the sharded pool's shape, then snapshot each node's list.
   const FramePool& pool = kernel.free_list();
   frames_per_node_ = pool.frames_per_node();
   free_.resize(static_cast<size_t>(pool.num_nodes()));
   total_free_ = 0;
   for (int node = 0; node < pool.num_nodes(); ++node) {
-    const std::vector<FrameId> fl = pool.NodeToVector(node);
-    free_[static_cast<size_t>(node)].assign(fl.begin(), fl.end());
-    total_free_ += static_cast<int64_t>(fl.size());
+    std::deque<FrameId>& list = free_[static_cast<size_t>(node)];
+    pool.WalkNode(node, [&](FrameId f) {
+      list.push_back(f);
+      on_free_[static_cast<size_t>(f)] = 1;
+      return true;
+    });
+    total_free_ += static_cast<int64_t>(list.size());
   }
   for (const auto& as : kernel.address_spaces()) {
-    std::map<VPage, FrameId>& pages = resident_[as->id()];
     for (VPage v = 0; v < as->num_pages(); ++v) {
       const Pte& pte = as->page_table().at(v);
       if (pte.resident) {
-        pages[v] = pte.frame;
-        mapped_[pte.frame] = {as->id(), v};
+        GrowPages(as->id(), v);
+        frame_of_[static_cast<size_t>(as->id())][static_cast<size_t>(v)] = pte.frame;
+        ++resident_count_[static_cast<size_t>(as->id())];
+        mapped_as_[static_cast<size_t>(pte.frame)] = as->id();
+        mapped_vpage_[static_cast<size_t>(pte.frame)] = v;
       }
     }
   }
-  for (FrameId f = 0; f < static_cast<FrameId>(kernel.frames().size()); ++f) {
-    const Frame& fr = kernel.frames().at(f);
-    if (fr.dirty) {
-      dirty_.insert(f);
-      if (fr.io_busy) {
-        writeback_.insert(f);
-      }
+  for (FrameId f = 0; f < static_cast<FrameId>(frames.size()); ++f) {
+    if (frames.dirty(f)) {
+      dirty_[static_cast<size_t>(f)] = 1;
+      writeback_[static_cast<size_t>(f)] = frames.io_busy(f) ? 1 : 0;
     }
   }
   // Slow tiers (memory-tiering extension): snapshot each plane's free pool in
@@ -47,8 +57,10 @@ void VmOracle::SeedFromKernel(const Kernel& kernel) {
   tiers_.clear();
   for (const Kernel::TierPlane& plane : kernel.tier_planes()) {
     TierModel model;
-    const std::vector<FrameId> fl = plane.pool->NodeToVector(0);
-    model.free.assign(fl.begin(), fl.end());
+    plane.pool->WalkNode(0, [&](FrameId tf) {
+      model.free.push_back(tf);
+      return true;
+    });
     for (FrameId tf = 0; tf < plane.frames; ++tf) {
       const size_t i = static_cast<size_t>(tf);
       if (plane.owner[i] != kNoAs) {
@@ -62,23 +74,27 @@ void VmOracle::SeedFromKernel(const Kernel& kernel) {
   min_freemem_pages_ = kernel.config().tunables.min_freemem_pages;
 }
 
-bool VmOracle::IsResident(AsId as, VPage vpage) const {
-  const auto it = resident_.find(as);
-  return it != resident_.end() && it->second.count(vpage) != 0;
-}
-
-FrameId VmOracle::FrameOf(AsId as, VPage vpage) const {
-  const auto it = resident_.find(as);
-  if (it == resident_.end()) {
-    return kNoFrame;
+void VmOracle::GrowFrames(FrameId f) {
+  const size_t n = static_cast<size_t>(f) + 1;
+  if (n > dirty_.size()) {
+    mapped_as_.resize(n, kNoAs);
+    mapped_vpage_.resize(n, kNoVPage);
+    dirty_.resize(n, 0);
+    writeback_.resize(n, 0);
+    on_free_.resize(n, 0);
   }
-  const auto page = it->second.find(vpage);
-  return page == it->second.end() ? kNoFrame : page->second;
 }
 
-int64_t VmOracle::ResidentCount(AsId as) const {
-  const auto it = resident_.find(as);
-  return it == resident_.end() ? 0 : static_cast<int64_t>(it->second.size());
+void VmOracle::GrowPages(AsId as, VPage vpage) {
+  const auto a = static_cast<size_t>(as);
+  if (a >= frame_of_.size()) {
+    frame_of_.resize(a + 1);
+    resident_count_.resize(a + 1, 0);
+  }
+  std::vector<FrameId>& pages = frame_of_[a];
+  if (static_cast<size_t>(vpage) >= pages.size()) {
+    pages.resize(static_cast<size_t>(vpage) + 1, kNoFrame);
+  }
 }
 
 int64_t VmOracle::UpperLimit(AsId as) const {
@@ -87,12 +103,6 @@ int64_t VmOracle::UpperLimit(AsId as) const {
   const int64_t upper =
       std::min(maxrss_pages_, ResidentCount(as) + total_free_ - min_freemem_pages_);
   return std::max<int64_t>(upper, 0);
-}
-
-bool VmOracle::InFreeList(FrameId f) const {
-  // A frame can only ever be on its owning node's list.
-  const std::deque<FrameId>& node = free_[static_cast<size_t>(NodeOf(f))];
-  return std::find(node.begin(), node.end(), f) != node.end();
 }
 
 void VmOracle::Diverge(const VmHookEvent& event, const std::string& what) {
@@ -109,6 +119,28 @@ void VmOracle::Diverge(const VmHookEvent& event, const std::string& what) {
 void VmOracle::Apply(const VmHookEvent& event) {
   if (!failure_.empty()) {
     return;
+  }
+  switch (event.op) {
+    case VmHookOp::kAlloc:
+    case VmHookOp::kMap:
+    case VmHookOp::kUnmap:
+    case VmHookOp::kFreePushHead:
+    case VmHookOp::kFreePushTail:
+    case VmHookOp::kRescue:
+    case VmHookOp::kWritebackBegin:
+    case VmHookOp::kWritebackEnd:
+    case VmHookOp::kDirty:
+    case VmHookOp::kDemote:
+    case VmHookOp::kPromote:
+      // These index the per-frame arrays by the hook's DRAM frame.
+      if (event.frame < 0) {
+        Diverge(event, "operation names no frame");
+        return;
+      }
+      GrowFrames(event.frame);
+      break;
+    default:
+      break;
   }
   switch (event.op) {
     case VmHookOp::kAlloc: {
@@ -131,16 +163,21 @@ void VmOracle::Apply(const VmHookEvent& event) {
                            std::to_string(list.front()) + ")");
         return;
       }
-      if (dirty_.count(event.frame) != 0) {
+      if (IsDirty(event.frame)) {
         Diverge(event, "allocated frame is dirty in the model");
         return;
       }
       list.pop_front();
+      on_free_[static_cast<size_t>(event.frame)] = 0;
       --total_free_;
       break;
     }
     case VmHookOp::kMap: {
-      if (resident_[event.as].count(event.vpage) != 0) {
+      if (event.as < 0 || event.vpage < 0) {
+        Diverge(event, "mapping a page with no address-space or page id");
+        return;
+      }
+      if (IsResident(event.as, event.vpage)) {
         Diverge(event, "mapping an already-resident page");
         return;
       }
@@ -148,27 +185,34 @@ void VmOracle::Apply(const VmHookEvent& event) {
         Diverge(event, "mapping a frame still on the free list");
         return;
       }
-      if (const auto it = mapped_.find(event.frame); it != mapped_.end()) {
-        Diverge(event, "frame already mapped by as=" + std::to_string(it->second.first));
+      const auto f = static_cast<size_t>(event.frame);
+      if (mapped_as_[f] != kNoAs) {
+        Diverge(event, "frame already mapped by as=" + std::to_string(mapped_as_[f]));
         return;
       }
-      resident_[event.as][event.vpage] = event.frame;
-      mapped_[event.frame] = {event.as, event.vpage};
+      GrowPages(event.as, event.vpage);
+      frame_of_[static_cast<size_t>(event.as)][static_cast<size_t>(event.vpage)] =
+          event.frame;
+      ++resident_count_[static_cast<size_t>(event.as)];
+      mapped_as_[f] = event.as;
+      mapped_vpage_[f] = event.vpage;
       break;
     }
     case VmHookOp::kUnmap: {
-      const auto it = resident_.find(event.as);
-      if (it == resident_.end() || it->second.count(event.vpage) == 0) {
+      const FrameId model = FrameOf(event.as, event.vpage);
+      if (model == kNoFrame) {
         Diverge(event, "unmapping a page the model has non-resident");
         return;
       }
-      if (it->second[event.vpage] != event.frame) {
-        Diverge(event, "unmap frame mismatch (model frame=" +
-                           std::to_string(it->second[event.vpage]) + ")");
+      if (model != event.frame) {
+        Diverge(event, "unmap frame mismatch (model frame=" + std::to_string(model) + ")");
         return;
       }
-      it->second.erase(event.vpage);
-      mapped_.erase(event.frame);
+      frame_of_[static_cast<size_t>(event.as)][static_cast<size_t>(event.vpage)] =
+          kNoFrame;
+      --resident_count_[static_cast<size_t>(event.as)];
+      mapped_as_[static_cast<size_t>(event.frame)] = kNoAs;
+      mapped_vpage_[static_cast<size_t>(event.frame)] = kNoVPage;
       break;
     }
     case VmHookOp::kFreePushHead:
@@ -177,12 +221,12 @@ void VmOracle::Apply(const VmHookEvent& event) {
         Diverge(event, "double free: frame already on the model free list");
         return;
       }
-      if (const auto it = mapped_.find(event.frame); it != mapped_.end()) {
-        Diverge(event,
-                "freeing a frame still mapped by as=" + std::to_string(it->second.first));
+      if (const AsId owner = mapped_as_[static_cast<size_t>(event.frame)];
+          owner != kNoAs) {
+        Diverge(event, "freeing a frame still mapped by as=" + std::to_string(owner));
         return;
       }
-      if (dirty_.count(event.frame) != 0) {
+      if (IsDirty(event.frame)) {
         Diverge(event, "freeing a dirty frame without a writeback");
         return;
       }
@@ -194,50 +238,57 @@ void VmOracle::Apply(const VmHookEvent& event) {
       } else {
         list.push_back(event.frame);
       }
+      on_free_[static_cast<size_t>(event.frame)] = 1;
       ++total_free_;
       break;
     }
     case VmHookOp::kRescue: {
-      std::deque<FrameId>& list = free_[static_cast<size_t>(NodeOf(event.frame))];
-      const auto it = std::find(list.begin(), list.end(), event.frame);
-      if (it == list.end()) {
+      if (!InFreeList(event.frame)) {
         Diverge(event, "rescue of a frame not on the model free list");
         return;
       }
-      list.erase(it);
+      std::deque<FrameId>& list = free_[static_cast<size_t>(NodeOf(event.frame))];
+      list.erase(std::find(list.begin(), list.end(), event.frame));
+      on_free_[static_cast<size_t>(event.frame)] = 0;
       --total_free_;
       ++rescues_;
       break;
     }
     case VmHookOp::kWritebackBegin: {
-      if (dirty_.count(event.frame) == 0) {
+      const auto f = static_cast<size_t>(event.frame);
+      if (dirty_[f] == 0) {
         Diverge(event, "writeback of a frame the model has clean");
         return;
       }
-      if (writeback_.count(event.frame) != 0) {
+      if (writeback_[f] != 0) {
         Diverge(event, "duplicate in-flight writeback");
         return;
       }
-      writeback_.insert(event.frame);
+      writeback_[f] = 1;
       ++writebacks_;
       break;
     }
     case VmHookOp::kWritebackEnd: {
-      if (writeback_.erase(event.frame) == 0) {
+      const auto f = static_cast<size_t>(event.frame);
+      if (writeback_[f] == 0) {
         Diverge(event, "writeback completion without a matching begin");
         return;
       }
-      if (dirty_.erase(event.frame) == 0) {
+      writeback_[f] = 0;
+      if (dirty_[f] == 0) {
         Diverge(event, "writeback completion on a clean frame");
         return;
       }
+      dirty_[f] = 0;
       break;
     }
     case VmHookOp::kDirty: {
-      if (!dirty_.insert(event.frame).second) {
+      uint8_t& dirty = dirty_[static_cast<size_t>(event.frame)];
+      if (dirty != 0) {
         Diverge(event, "clean->dirty transition on an already-dirty frame");
         return;
       }
+      dirty = 1;
       break;
     }
     case VmHookOp::kValidate:
@@ -294,7 +345,8 @@ void VmOracle::Apply(const VmHookEvent& event) {
         return;
       }
       model.free.pop_front();
-      const bool carried = dirty_.erase(event.frame) != 0;
+      const bool carried = dirty_[static_cast<size_t>(event.frame)] != 0;
+      dirty_[static_cast<size_t>(event.frame)] = 0;
       model.pages[{event.as, event.vpage}] =
           TierEntry{static_cast<FrameId>(event.b), carried};
       break;
@@ -322,9 +374,13 @@ void VmOracle::Apply(const VmHookEvent& event) {
         Diverge(event, "promoted page not resident on the hook's frame");
         return;
       }
-      if (it->second.dirty && !dirty_.insert(event.frame).second) {
-        Diverge(event, "carried dirty bit restored onto an already-dirty frame");
-        return;
+      if (it->second.dirty) {
+        uint8_t& dirty = dirty_[static_cast<size_t>(event.frame)];
+        if (dirty != 0) {
+          Diverge(event, "carried dirty bit restored onto an already-dirty frame");
+          return;
+        }
+        dirty = 1;
       }
       model.free.push_front(it->second.tf);
       model.pages.erase(it);

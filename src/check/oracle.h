@@ -1,11 +1,18 @@
 // Differential reference model ("oracle") for the VM subsystem.
 //
 // A deliberately simple shadow of the kernel's memory state: the free list is
-// a plain deque per memory node, residency is a map per address space, the
-// dirty set is a std::set. No wheels, no sentinels, no intrusive links, no
-// small-buffer tricks — the point is that this model is simple enough to be
-// obviously correct, so any disagreement with the optimized kernel implicates
-// the kernel (or a missing hook), not the model.
+// a plain deque per memory node; residency is a dense frame-per-page array per
+// address space (kNoFrame = non-resident) with a resident count beside it; the
+// reverse mapping, the dirty set, the in-flight writebacks and free-list
+// membership are dense per-frame arrays indexed by frame id. No wheels, no
+// sentinels, no intrusive links, no small-buffer tricks — every array is a
+// direct image of one piece of state, written in exactly one place per hook,
+// so the model stays simple enough to be obviously correct and any
+// disagreement with the optimized kernel implicates the kernel (or a missing
+// hook), not the model. The arrays make a lookup one indexed load rather than
+// a tree walk, which is what lets the checker run on every event; they grow on
+// demand, so a model that was never seeded learns the machine's size from the
+// stream itself.
 //
 // The model is byte-honest per node: it re-derives the kernel's frame->node
 // partition (contiguous ranges) and home-node rule (as_id % nodes) from the
@@ -30,7 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,11 +76,31 @@ class VmOracle {
   [[nodiscard]] int NodeOf(FrameId f) const {
     return static_cast<int>(f / frames_per_node_);
   }
-  [[nodiscard]] bool IsResident(AsId as, VPage vpage) const;
+  [[nodiscard]] bool IsResident(AsId as, VPage vpage) const {
+    return FrameOf(as, vpage) != kNoFrame;
+  }
+  // The model's residency row for `as`: entry v is the frame backing page v,
+  // or kNoFrame. The row may be shorter than the address space; pages past
+  // its end are non-resident.
+  [[nodiscard]] std::span<const FrameId> PageFrames(AsId as) const {
+    if (as < 0 || static_cast<size_t>(as) >= frame_of_.size()) {
+      return {};
+    }
+    return frame_of_[static_cast<size_t>(as)];
+  }
   // Frame the model believes backs (as, vpage), or kNoFrame.
-  [[nodiscard]] FrameId FrameOf(AsId as, VPage vpage) const;
-  [[nodiscard]] int64_t ResidentCount(AsId as) const;
-  [[nodiscard]] const std::set<FrameId>& dirty() const { return dirty_; }
+  [[nodiscard]] FrameId FrameOf(AsId as, VPage vpage) const {
+    const std::span<const FrameId> row = PageFrames(as);
+    return vpage < 0 || static_cast<size_t>(vpage) >= row.size()
+               ? kNoFrame
+               : row[static_cast<size_t>(vpage)];
+  }
+  [[nodiscard]] int64_t ResidentCount(AsId as) const {
+    return as < 0 || static_cast<size_t>(as) >= resident_count_.size()
+               ? 0
+               : resident_count_[static_cast<size_t>(as)];
+  }
+  [[nodiscard]] bool IsDirty(FrameId f) const { return FrameFlag(dirty_, f); }
 
   // Per-slow-tier reference model (memory-tiering extension): which (as,
   // vpage) each occupied tier frame holds with its carried dirty bit, plus
@@ -104,17 +131,31 @@ class VmOracle {
 
  private:
   void Diverge(const VmHookEvent& event, const std::string& what);
-  [[nodiscard]] bool InFreeList(FrameId f) const;
+  [[nodiscard]] bool InFreeList(FrameId f) const { return FrameFlag(on_free_, f); }
+  // Grow the dense arrays to cover frame `f` / page (as, vpage).
+  void GrowFrames(FrameId f);
+  void GrowPages(AsId as, VPage vpage);
+  static bool FrameFlag(const std::vector<uint8_t>& flags, FrameId f) {
+    return f >= 0 && static_cast<size_t>(f) < flags.size() &&
+           flags[static_cast<size_t>(f)] != 0;
+  }
 
   // One deque per memory node. Default-constructed (unseeded) oracles model a
   // single node covering every frame, matching the historical flat list.
   std::vector<std::deque<FrameId>> free_ = std::vector<std::deque<FrameId>>(1);
   int64_t total_free_ = 0;
   int64_t frames_per_node_ = INT64_MAX;
-  std::map<AsId, std::map<VPage, FrameId>> resident_;
-  std::map<FrameId, std::pair<AsId, VPage>> mapped_;  // reverse of resident_
-  std::set<FrameId> dirty_;
-  std::set<FrameId> writeback_;                    // page-outs in flight
+  // Residency, indexed [as][vpage]: the backing frame, or kNoFrame.
+  std::vector<std::vector<FrameId>> frame_of_;
+  std::vector<int64_t> resident_count_;  // per AS: non-kNoFrame entries above
+  // Per-frame state, indexed by frame id. mapped_as_/mapped_vpage_ are the
+  // reverse of frame_of_ (kNoAs when unmapped); on_free_ mirrors membership
+  // in free_.
+  std::vector<AsId> mapped_as_;
+  std::vector<VPage> mapped_vpage_;
+  std::vector<uint8_t> dirty_;
+  std::vector<uint8_t> writeback_;  // page-outs in flight
+  std::vector<uint8_t> on_free_;
   std::vector<TierModel> tiers_;                   // slow tiers, index = tier-1
 
   int64_t maxrss_pages_ = 0;

@@ -130,15 +130,28 @@ class FramePool {
     return node_size_[static_cast<size_t>(node)];
   }
 
+  // Calls visit(id) for each frame on `node`'s list, head-to-tail, until it
+  // returns false. Walks the intrusive links without allocating — the
+  // invariant checker's per-event pass. A visitor that stops on an
+  // out-of-range id (or after size() frames) walks even corrupted links
+  // safely.
+  template <typename Visit>
+  void WalkNode(int node, Visit&& visit) const {
+    for (FrameId id = head_[static_cast<size_t>(node)]; id != kNoFrame;
+         id = next_[static_cast<size_t>(id)]) {
+      if (!visit(id)) return;
+    }
+  }
+
   // Snapshot of one node's list head-to-tail, for checkers and tests. Walks
   // the intrusive links, so it also validates their consistency.
   [[nodiscard]] std::vector<FrameId> NodeToVector(int node) const {
     std::vector<FrameId> out;
     out.reserve(static_cast<size_t>(node_size_[static_cast<size_t>(node)]));
-    for (FrameId id = head_[static_cast<size_t>(node)]; id != kNoFrame;
-         id = next_[static_cast<size_t>(id)]) {
+    WalkNode(node, [&out](FrameId id) {
       out.push_back(id);
-    }
+      return true;
+    });
     return out;
   }
 
@@ -148,10 +161,10 @@ class FramePool {
     std::vector<FrameId> out;
     out.reserve(static_cast<size_t>(size_));
     for (int node = 0; node < num_nodes_; ++node) {
-      for (FrameId id = head_[static_cast<size_t>(node)]; id != kNoFrame;
-           id = next_[static_cast<size_t>(id)]) {
+      WalkNode(node, [&out](FrameId id) {
         out.push_back(id);
-      }
+        return true;
+      });
     }
     return out;
   }

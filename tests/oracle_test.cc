@@ -62,6 +62,86 @@ TEST(OracleUnitTest, FreeingAMappedFrameIsDivergence) {
   EXPECT_NE(oracle.failure().find("still mapped"), std::string::npos) << oracle.failure();
 }
 
+TEST(OracleUnitTest, DenseModelGrowsOnDemand) {
+  // An unseeded oracle learns the machine's size from the stream: a frame,
+  // address space and page far beyond anything seen yet are simply modeled.
+  VmOracle oracle;
+  const FrameId f = 5000;
+  const AsId as = 7;
+  const VPage vpage = 100000;
+  oracle.Apply(Ev(VmHookOp::kFreePushTail, f));
+  oracle.Apply(Ev(VmHookOp::kAlloc, f, as, vpage));
+  oracle.Apply(Ev(VmHookOp::kMap, f, as, vpage));
+  oracle.Apply(Ev(VmHookOp::kDirty, f, as, vpage));
+  ASSERT_TRUE(oracle.ok()) << oracle.failure();
+  EXPECT_EQ(oracle.FrameOf(as, vpage), f);
+  EXPECT_TRUE(oracle.IsResident(as, vpage));
+  EXPECT_EQ(oracle.ResidentCount(as), 1);
+  EXPECT_TRUE(oracle.IsDirty(f));
+  EXPECT_FALSE(oracle.IsDirty(f - 1));
+  EXPECT_EQ(oracle.FrameOf(as, vpage - 1), kNoFrame);
+  EXPECT_EQ(oracle.FrameOf(as + 1, vpage), kNoFrame);
+  EXPECT_EQ(oracle.ResidentCount(as + 1), 0);
+  EXPECT_EQ(oracle.FreeCount(), 0);
+
+  oracle.Apply(Ev(VmHookOp::kWritebackBegin, f, as, vpage));
+  oracle.Apply(Ev(VmHookOp::kWritebackEnd, f, as, vpage));
+  oracle.Apply(Ev(VmHookOp::kUnmap, f, as, vpage));
+  oracle.Apply(Ev(VmHookOp::kFreePushTail, f, as, vpage));
+  ASSERT_TRUE(oracle.ok()) << oracle.failure();
+  EXPECT_FALSE(oracle.IsResident(as, vpage));
+  EXPECT_EQ(oracle.ResidentCount(as), 0);
+  EXPECT_FALSE(oracle.IsDirty(f));
+  EXPECT_EQ(oracle.FreeCount(), 1);
+  EXPECT_EQ(oracle.writebacks(), 1u);
+}
+
+TEST(OracleUnitTest, RemappingAMappedFrameIsDivergence) {
+  VmOracle oracle;
+  oracle.Apply(Ev(VmHookOp::kFreePushTail, 7));
+  oracle.Apply(Ev(VmHookOp::kAlloc, 7));
+  oracle.Apply(Ev(VmHookOp::kMap, 7, /*as=*/1, /*vpage=*/4));
+  ASSERT_TRUE(oracle.ok());
+  oracle.Apply(Ev(VmHookOp::kMap, 7, /*as=*/2, /*vpage=*/5));
+  EXPECT_FALSE(oracle.ok());
+  EXPECT_NE(oracle.failure().find("frame already mapped by as=1"), std::string::npos)
+      << oracle.failure();
+}
+
+TEST(OracleUnitTest, UnmapFrameMismatchIsDivergence) {
+  VmOracle oracle;
+  oracle.Apply(Ev(VmHookOp::kFreePushTail, 7));
+  oracle.Apply(Ev(VmHookOp::kAlloc, 7));
+  oracle.Apply(Ev(VmHookOp::kMap, 7, /*as=*/1, /*vpage=*/4));
+  ASSERT_TRUE(oracle.ok());
+  oracle.Apply(Ev(VmHookOp::kUnmap, 8, /*as=*/1, /*vpage=*/4));
+  EXPECT_FALSE(oracle.ok());
+  EXPECT_NE(oracle.failure().find("unmap frame mismatch (model frame=7)"),
+            std::string::npos)
+      << oracle.failure();
+}
+
+TEST(OracleUnitTest, RescueOfANonFreeFrameIsDivergence) {
+  VmOracle oracle;
+  oracle.Apply(Ev(VmHookOp::kFreePushTail, 3));
+  oracle.Apply(Ev(VmHookOp::kRescue, 9));
+  EXPECT_FALSE(oracle.ok());
+  EXPECT_NE(oracle.failure().find("rescue of a frame not on the model free list"),
+            std::string::npos)
+      << oracle.failure();
+}
+
+TEST(OracleUnitTest, WritebackEndWithoutBeginIsDivergence) {
+  VmOracle oracle;
+  oracle.Apply(Ev(VmHookOp::kDirty, 5));
+  ASSERT_TRUE(oracle.ok());
+  oracle.Apply(Ev(VmHookOp::kWritebackEnd, 5));
+  EXPECT_FALSE(oracle.ok());
+  EXPECT_NE(oracle.failure().find("writeback completion without a matching begin"),
+            std::string::npos)
+      << oracle.failure();
+}
+
 // --- release/rescue adversarial paths under the checker ----------------------
 
 TEST(OracleKernelTest, RescueFromFreeListTailNeedsNoDiskRead) {
@@ -253,6 +333,113 @@ TEST(DetectionTest, CorruptedPteResidencyIsCaught) {
   as->page_table().at(2).resident = false;  // frame still mapped underneath
   EXPECT_FALSE(checker.CheckNow(kernel));
   EXPECT_NE(checker.failure().find("I-"), std::string::npos) << checker.failure();
+}
+
+// Each test below runs a tiny kernel to quiescence, corrupts one field, and
+// requires the structural pass to name the invariant that field belongs to.
+
+// Two resident pages (0 and 1) of a 4-page swap-backed address space, no
+// daemons; everything else on the free list.
+class CorruptionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    as_ = MakeSwapAs(kernel_, "as", 4);
+    Thread* t = kernel_.Spawn("t", as_, &program_);
+    ASSERT_TRUE(kernel_.RunUntilThreadsDone({t}));
+    ASSERT_TRUE(checker_.CheckNow(kernel_)) << checker_.failure();
+    ASSERT_GE(kernel_.free_list().size(), 3);
+  }
+
+  // Requires the next pass to fail with `tag`.
+  void ExpectCaught(const std::string& tag) {
+    EXPECT_FALSE(checker_.CheckNow(kernel_));
+    EXPECT_NE(checker_.failure().find("invariant " + tag + " violated"), std::string::npos)
+        << checker_.failure();
+  }
+
+  FrameTable& frames() { return const_cast<FrameTable&>(kernel_.frames()); }
+  FramePool& pool() { return const_cast<FramePool&>(kernel_.free_list()); }
+  Pte& pte(VPage v) { return as_->page_table().at(v); }
+
+  Kernel kernel_{TestMachine()};
+  InvariantChecker checker_{kernel_};
+  ScriptProgram program_{{Op::Touch(0, false, 0), Op::Touch(1, false, 0)}};
+  AddressSpace* as_ = nullptr;
+};
+
+TEST_F(CorruptionTest, FreeListFrameListedTwiceIsCaught) {
+  pool().PushTail(kernel_.free_list().NodeToVector(0)[1]);  // already listed
+  ExpectCaught("I-FL");
+}
+
+TEST_F(CorruptionTest, DirtyFreeFrameIsCaught) {
+  frames().set_dirty(kernel_.free_list().NodeToVector(0)[0], true);
+  ExpectCaught("I-FL");
+}
+
+TEST_F(CorruptionTest, MappedFrameWhosePteLooksElsewhereIsCaught) {
+  pte(0).frame = pte(1).frame;
+  ExpectCaught("I-FT");
+}
+
+TEST_F(CorruptionTest, FrameInLimboIsCaught) {
+  frames().set_mapped(pte(0).frame, false);
+  ExpectCaught("I-ONE");
+}
+
+TEST_F(CorruptionTest, UnqueuedReleasePendingPageIsCaught) {
+  pte(0).valid = false;
+  pte(0).invalid_reason = InvalidReason::kReleasePending;
+  as_->page_table().SyncValid(0);
+  ExpectCaught("I-RQ");
+}
+
+TEST_F(CorruptionTest, FreeListOrderSwapIsCaughtByTheOracle) {
+  const FrameId head = kernel_.free_list().NodeToVector(0)[0];
+  pool().Remove(head);
+  pool().PushTail(head);  // structurally sound, but not the model's order
+  ExpectCaught("oracle");
+}
+
+TEST_F(CorruptionTest, FrameAssignmentMismatchIsCaughtByTheOracle) {
+  // Swap the two pages' frames consistently on both sides: every structural
+  // invariant holds, but the model placed them the other way round.
+  const FrameId f0 = pte(0).frame;
+  const FrameId f1 = pte(1).frame;
+  pte(0).frame = f1;
+  pte(1).frame = f0;
+  frames().set_vpage(f0, 1);
+  frames().set_vpage(f1, 0);
+  ExpectCaught("oracle");
+}
+
+TEST_F(CorruptionTest, DirtyBitMismatchIsCaughtByTheOracle) {
+  frames().set_dirty(pte(0).frame, true);
+  ExpectCaught("oracle");
+}
+
+TEST(DetectionTest, RescueLinkToAReownedFrameIsCaught) {
+  // Release a page and let the releaser free it: its PTE keeps a rescue link
+  // to the free frame. Re-owning that frame leaves the link stale.
+  Kernel kernel(TestMachine());
+  InvariantChecker checker(kernel);
+  kernel.StartDaemons();
+  AddressSpace* as = MakeSwapAs(kernel, "as", 2);
+  as->AttachPagingDirected(0, 2);
+  ScriptProgram program({Op::Touch(0, false, 0), Op::Release(0, 1, 0, 1),
+                         Op::Sleep(10 * kMsec)});
+  Thread* t = kernel.Spawn("t", as, &program);
+  ASSERT_TRUE(kernel.RunUntilThreadsDone({t}));
+  ASSERT_TRUE(checker.CheckNow(kernel)) << checker.failure();
+  const Pte& pte = as->page_table().at(0);
+  ASSERT_FALSE(pte.resident);
+  ASSERT_NE(pte.frame, kNoFrame);
+  ASSERT_TRUE(kernel.free_list().Contains(pte.frame));
+
+  const_cast<FrameTable&>(kernel.frames()).set_vpage(pte.frame, 1);
+  EXPECT_FALSE(checker.CheckNow(kernel));
+  EXPECT_NE(checker.failure().find("invariant I-RL violated"), std::string::npos)
+      << checker.failure();
 }
 
 TEST(DetectionTest, InjectedBitmapFlipIsCaughtByTheSelfTestHook) {
