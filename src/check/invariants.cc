@@ -1,6 +1,7 @@
 #include "src/check/invariants.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "src/os/kernel.h"
@@ -426,29 +427,49 @@ void InvariantChecker::Validate(Kernel& kernel) {
     VPage oracle_mismatch = kNoVPage;
     const std::span<const FrameId> model_frames = oracle_.PageFrames(as.id());
     int64_t resident = 0;
-    for (VPage v = 0; v < as.num_pages(); ++v) {
-      const Pte& pte = pt.at(v);
-      if (pte.resident) {
-        ++resident;
+    // The packed planes are rebuilt from the PTEs one 64-page word at a time
+    // and compared whole, so stray tail bits are caught too.
+    const uint64_t* valid_plane = pt.valid_words();
+    const uint64_t* resident_plane = pt.resident_words();
+    VPage plane_mismatch = kNoVPage;
+    for (VPage base = 0; base < as.num_pages(); base += 64) {
+      const VPage word_end = std::min<VPage>(base + 64, as.num_pages());
+      uint64_t valid_bits = 0;
+      uint64_t resident_bits = 0;
+      for (VPage v = base; v < word_end; ++v) {
+        const Pte& pte = pt.at(v);
+        if (pte.resident) {
+          ++resident;
+          const uint64_t bit = 1ULL << (v - base);
+          resident_bits |= bit;
+          if (pte.valid) {
+            valid_bits |= bit;
+          }
+        }
+        // A quiet page (non-resident, unlinked, untiered, invalid, not
+        // release-pending) gives the page-side checks nothing to test.
+        const bool quiet = !pte.resident && !pte.valid && pte.frame == kNoFrame &&
+                           pte.tier == 0 &&
+                           pte.invalid_reason != InvalidReason::kReleasePending;
+        if (!quiet && !CheckPage(kernel, as, v)) {
+          return;
+        }
+        if (bm != nullptr && bm_mismatch == kNoVPage && pte.ever_materialized &&
+            bm->Test(v) != BitmapBitExpected(frames, pte, as.id(), v)) {
+          bm_mismatch = v;
+        }
+        const FrameId model =
+            static_cast<size_t>(v) < model_frames.size() ? model_frames[static_cast<size_t>(v)]
+                                                        : kNoFrame;
+        if (with_oracle && oracle_mismatch == kNoVPage &&
+            model != (pte.resident ? pte.frame : kNoFrame)) {
+          oracle_mismatch = v;
+        }
       }
-      // A quiet page (non-resident, unlinked, untiered, invalid, not
-      // release-pending) gives the page-side checks nothing to test.
-      const bool quiet = !pte.resident && !pte.valid && pte.frame == kNoFrame &&
-                         pte.tier == 0 &&
-                         pte.invalid_reason != InvalidReason::kReleasePending;
-      if (!quiet && !CheckPage(kernel, as, v)) {
-        return;
-      }
-      if (bm != nullptr && bm_mismatch == kNoVPage && pte.ever_materialized &&
-          bm->Test(v) != BitmapBitExpected(frames, pte, as.id(), v)) {
-        bm_mismatch = v;
-      }
-      const FrameId model =
-          static_cast<size_t>(v) < model_frames.size() ? model_frames[static_cast<size_t>(v)]
-                                                      : kNoFrame;
-      if (with_oracle && oracle_mismatch == kNoVPage &&
-          model != (pte.resident ? pte.frame : kNoFrame)) {
-        oracle_mismatch = v;
+      const size_t w = static_cast<size_t>(base / 64);
+      const uint64_t diff = (valid_bits ^ valid_plane[w]) | (resident_bits ^ resident_plane[w]);
+      if (plane_mismatch == kNoVPage && diff != 0) {
+        plane_mismatch = base + std::countr_zero(diff);
       }
     }
     oracle_page_mismatch_[ai] = oracle_mismatch;
@@ -457,6 +478,22 @@ void InvariantChecker::Validate(Kernel& kernel) {
            "as=" + std::to_string(as.id()) + " resident_count() is " +
                std::to_string(pt.resident_count()) + " but recount found " +
                std::to_string(resident));
+      return;
+    }
+    if (plane_mismatch != kNoVPage) {
+      // A bit past the last page has no PTE and must be clear.
+      const VPage v = plane_mismatch;
+      const bool want_resident = v < as.num_pages() && pt.at(v).resident;
+      const bool want_valid = want_resident && pt.at(v).valid;
+      const size_t w = static_cast<size_t>(v / 64);
+      const uint64_t mask = 1ULL << (v % 64);
+      const bool valid_set = (valid_plane[w] & mask) != 0;
+      const bool valid_bad = valid_set != want_valid;
+      const bool set = valid_bad ? valid_set : (resident_plane[w] & mask) != 0;
+      Fail(now, "I-PT",
+           "as=" + std::to_string(as.id()) + " vpage=" + std::to_string(v) + " " +
+               (valid_bad ? "valid" : "resident") + " plane bit is " +
+               (set ? "set" : "clear") + " but the PTE requires " + (set ? "clear" : "set"));
       return;
     }
 

@@ -17,7 +17,10 @@
 //           dangling mappings after reclaims.
 //   I-PT    page table -> frame table: every resident PTE's frame is mapped
 //           with the matching identity; the per-AS resident_count() equals a
-//           recount. Catches leaked/duplicated residency accounting.
+//           recount; the packed valid and resident planes equal the PTEs bit
+//           for bit. Catches leaked/duplicated residency accounting and a
+//           missed SyncPlanes (a stale plane bit would let a touch skip its
+//           fault or the monitor skip a release).
 //   I-ONE   every frame is exactly one of {free-listed, mapped, io-busy}.
 //           Catches frame leaks (limbo frames) and double-ownership.
 //   I-BM    residency bitmap (PagingDirected ASes, materialized pages only):

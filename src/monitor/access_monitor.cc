@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "src/os/address_space.h"
 #include "src/os/kernel.h"
@@ -11,12 +13,34 @@
 
 namespace tmh {
 
+std::string MonitorConfig::Validate() const {
+  if (sample_period < 1) {
+    return "monitor sample period must be at least 1 ns";
+  }
+  if (samples_per_aggregation < 1) {
+    return "monitor samples per aggregation must be at least 1";
+  }
+  if (min_regions < 1 || max_regions < min_regions) {
+    return "monitor region bounds must satisfy 1 <= min_regions <= max_regions";
+  }
+  if (merge_threshold < 0 || cold_max_accesses < 0 || cold_min_age < 0 ||
+      cold_quota_pages < 0 || hot_min_accesses < 0) {
+    return "monitor thresholds and quotas must not be negative";
+  }
+  if (demote_tier < 0) {
+    return "monitor demote tier must not be negative";
+  }
+  return "";
+}
+
 AccessMonitor::AccessMonitor(Kernel& kernel, MonitorConfig config)
     : kernel_(&kernel), config_(config), rng_(config.seed) {
-  assert(config_.sample_period > 0);
-  assert(config_.samples_per_aggregation > 0);
-  assert(config_.min_regions >= 1);
-  assert(config_.max_regions >= config_.min_regions);
+  // Always on: a zero sample period would re-arm Tick at the same instant
+  // forever, and the default build defines NDEBUG.
+  if (const std::string error = config_.Validate(); !error.empty()) {
+    std::fprintf(stderr, "AccessMonitor: %s\n", error.c_str());
+    std::abort();
+  }
   kernel_->AttachMonitor(this);
 }
 
@@ -149,6 +173,7 @@ void AccessMonitor::CloseWindow(AsState& state) {
 
 void AccessMonitor::ApplySchemes(AsState& state) {
   AddressSpace* as = state.as;
+  const PageTable& pt = as->page_table();
   int64_t budget = config_.cold_quota_pages;
   bool enqueued_any = false;
   // Tiered machines: cold releases demote instead of freeing. Resolve the
@@ -164,7 +189,11 @@ void AccessMonitor::ApplySchemes(AsState& state) {
     if (config_.release_cold && region.nr_accesses <= config_.cold_max_accesses &&
         region.age >= config_.cold_min_age && budget > 0) {
       ++stats_.cold_regions_actioned;
-      for (VPage p = region.begin; p < region.end && budget > 0; ++p) {
+      // Only resident pages can be queued, and queueing one changes no
+      // page's residency, so stepping over the resident plane visits exactly
+      // the pages a page-by-page walk would act on.
+      for (VPage p = pt.NextResident(region.begin, region.end); p < region.end && budget > 0;
+           p = pt.NextResident(p + 1, region.end)) {
         if (kernel_->MonitorEnqueueRelease(as, p, depth)) {
           ++stats_.cold_pages_enqueued;
           --budget;
@@ -178,7 +207,8 @@ void AccessMonitor::ApplySchemes(AsState& state) {
     }
     if (config_.protect_hot && region.nr_accesses >= config_.hot_min_accesses) {
       ++stats_.hot_regions_actioned;
-      for (VPage p = region.begin; p < region.end; ++p) {
+      for (VPage p = pt.NextResident(region.begin, region.end); p < region.end;
+           p = pt.NextResident(p + 1, region.end)) {
         if (kernel_->MonitorProtectPage(as, p)) {
           ++stats_.hot_pages_protected;
         }

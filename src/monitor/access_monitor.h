@@ -7,8 +7,11 @@
 // page per region per tick (software reference sampling, exactly the vhand
 // mechanism: invalidate the mapping, let the next touch prove liveness), and
 // adaptively splits/merges regions so precision concentrates where access
-// behavior differs. Overhead is O(regions) per tick — bounded by
-// MonitorConfig::max_regions — never O(pages).
+// behavior differs. Overhead per tick is O(regions), bounded by
+// MonitorConfig::max_regions. Once per aggregation window the schemes walk
+// their actioned regions over the page table's resident plane, so a window
+// costs O(regions + plane words scanned + resident pages in actioned
+// regions): a mostly non-resident cold region costs one load per 64 pages.
 //
 // On top of the region stats sits a DAMOS-like schemes engine: a region that
 // has stayed at or below the cold threshold for enough aggregation windows is
@@ -29,6 +32,7 @@
 #define TMH_SRC_MONITOR_ACCESS_MONITOR_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/sim/counters.h"
@@ -78,6 +82,11 @@ struct MonitorConfig {
   // one daemon pass (the Eq. 2 priority analog).
   bool protect_hot = false;
   int64_t hot_min_accesses = 5;
+
+  // Empty if the configuration can run; otherwise what is wrong with it. A
+  // sample period under 1 ns would re-arm the tick at the same instant
+  // forever. The AccessMonitor constructor aborts on an invalid config.
+  [[nodiscard]] std::string Validate() const;
 };
 
 // One contiguous virtual region [begin, end) with uniform-ish access behavior.
@@ -114,8 +123,9 @@ TMH_COUNTER_TABLE(MonitorStats, TMH_MONITOR_STATS)
 
 class AccessMonitor {
  public:
-  // Attaches to the kernel (asserts no other monitor is attached). Monitoring
-  // does not begin until Start().
+  // Attaches to the kernel (asserts no other monitor is attached). Aborts if
+  // config.Validate() reports an error. Monitoring does not begin until
+  // Start().
   AccessMonitor(Kernel& kernel, MonitorConfig config);
   ~AccessMonitor();
 

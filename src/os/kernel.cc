@@ -538,7 +538,7 @@ void Kernel::MapFrame(AddressSpace* as, VPage vpage, FrameId f, bool validate) {
   pte.valid = validate;
   pte.invalid_reason = validate ? InvalidReason::kNone : InvalidReason::kFreshPrefetch;
   pte.ever_materialized = true;
-  as->page_table().SyncValid(vpage);
+  as->page_table().SyncPlanes(vpage);
   frames_.set_mapped(f, true);
   frames_.set_contents_valid(f, true);
   frames_.set_freed_by(f, FreedBy::kNone);
@@ -557,7 +557,7 @@ void Kernel::UnmapFrame(AddressSpace* as, VPage vpage, FreedBy freed_by) {
   pte.resident = false;
   pte.valid = false;
   pte.invalid_reason = InvalidReason::kNone;
-  as->page_table().SyncValid(vpage);
+  as->page_table().SyncPlanes(vpage);
   // pte.frame intentionally kept: it is the rescue link.
   frames_.set_mapped(f, false);
   frames_.set_referenced(f, false);
@@ -896,7 +896,7 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
     }
     pte.valid = true;
     pte.invalid_reason = InvalidReason::kNone;
-    pt.SyncValid(op.vpage);
+    pt.SyncPlanes(op.vpage);
     frames_.set_referenced(pte.frame, true);
     Hook(VmHookOp::kValidate, as->id(), op.vpage, pte.frame,
          static_cast<int64_t>(old_reason));
@@ -1306,6 +1306,32 @@ Kernel::ExecResult Kernel::DoPrefetch(Thread* t, Op& op, SimDuration* elapsed) {
 
 // --- PagingDirected release (kRelease) -----------------------------------------
 
+bool Kernel::EnqueueReleasePage(AddressSpace* as, VPage vpage, int32_t depth, int32_t tid) {
+  Pte& pte = as->page_table().at(vpage);
+  if (!pte.resident || pte.invalid_reason == InvalidReason::kReleasePending) {
+    return false;  // nothing resident, or already queued
+  }
+  if (frames_.io_busy(pte.frame)) {
+    return false;
+  }
+  // Clear the bit and invalidate the mapping so any re-reference before the
+  // releaser gets to it takes a soft fault that re-sets the bit.
+  if (as->HasPagingDirected()) {
+    as->bitmap()->Clear(vpage);
+  }
+  pte.valid = false;
+  pte.invalid_reason = InvalidReason::kReleasePending;
+  as->page_table().SyncPlanes(vpage);
+  release_work_.push_back(ReleaseWorkItem{as, vpage, depth});
+  if (TMH_UNLIKELY(observing_)) {
+    event_log_.Record(Now(), KernelEventType::kReleaseEnqueue, tid, as->id(), vpage);
+  }
+  ++stats_.release_pages_enqueued;
+  ++as->stats().release_pages_requested;
+  Hook(VmHookOp::kReleaseEnqueue, as->id(), vpage, pte.frame);
+  return true;
+}
+
 Kernel::ExecResult Kernel::DoRelease(Thread* t, Op& op, SimDuration* elapsed) {
   AddressSpace* as = op.as != nullptr ? op.as : t->as_;
   assert(as != nullptr && as->HasPagingDirected());
@@ -1331,33 +1357,9 @@ Kernel::ExecResult Kernel::DoRelease(Thread* t, Op& op, SimDuration* elapsed) {
   }
 
   bool enqueued_any = false;
-  for (VPage p = op.vpage; p < op.vpage + op.count; ++p) {
-    if (p < 0 || p >= as->num_pages()) {
-      continue;
-    }
-    Pte& pte = as->page_table().at(p);
-    if (!pte.resident || pte.invalid_reason == InvalidReason::kReleasePending) {
-      continue;  // nothing resident, or already queued
-    }
-    if (frames_.io_busy(pte.frame)) {
-      continue;
-    }
-    // Clear the bit and invalidate the mapping so any re-reference before the
-    // releaser gets to it takes a soft fault that re-sets the bit.
-    if (as->HasPagingDirected()) {
-      as->bitmap()->Clear(p);
-    }
-    pte.valid = false;
-    pte.invalid_reason = InvalidReason::kReleasePending;
-    as->page_table().SyncValid(p);
-    release_work_.push_back(ReleaseWorkItem{as, p, depth});
-    if (TMH_UNLIKELY(observing_)) {
-      event_log_.Record(Now(), KernelEventType::kReleaseEnqueue, t->id(), as->id(), p);
-    }
-    ++stats_.release_pages_enqueued;
-    ++as->stats().release_pages_requested;
-    Hook(VmHookOp::kReleaseEnqueue, as->id(), p, pte.frame);
-    enqueued_any = true;
+  const VPage end = std::min<VPage>(op.vpage + op.count, as->num_pages());
+  for (VPage p = std::max<VPage>(op.vpage, 0); p < end; ++p) {
+    enqueued_any |= EnqueueReleasePage(as, p, depth, t->id());
   }
   UpdateSharedHeader(as);
   ReleaseLock(t, lock);
@@ -1391,7 +1393,7 @@ bool Kernel::MonitorSamplePage(AddressSpace* as, VPage vpage) {
   // access. The resident bitmap bit stays set — the page is still resident.
   pte.valid = false;
   pte.invalid_reason = InvalidReason::kMonitorSampled;
-  as->page_table().SyncValid(vpage);
+  as->page_table().SyncPlanes(vpage);
   frames_.set_referenced(pte.frame, false);
   ++stats_.monitor_invalidations;
   ++as->stats().invalidations_received;
@@ -1400,33 +1402,11 @@ bool Kernel::MonitorSamplePage(AddressSpace* as, VPage vpage) {
 }
 
 bool Kernel::MonitorEnqueueRelease(AddressSpace* as, VPage vpage, int32_t depth) {
-  if (vpage < 0 || vpage >= as->num_pages()) {
+  if (vpage < 0 || vpage >= as->num_pages() ||
+      !EnqueueReleasePage(as, vpage, depth, /*tid=*/0)) {
     return false;
   }
-  Pte& pte = as->page_table().at(vpage);
-  if (!pte.resident || pte.invalid_reason == InvalidReason::kReleasePending) {
-    return false;  // nothing resident, or already queued
-  }
-  if (frames_.io_busy(pte.frame)) {
-    return false;
-  }
-  // Per-page body of the release syscall (DoRelease), verbatim: the releaser
-  // and the rescue path cannot tell a monitor-issued release from a
-  // compiler-inserted one.
-  if (as->HasPagingDirected()) {
-    as->bitmap()->Clear(vpage);
-  }
-  pte.valid = false;
-  pte.invalid_reason = InvalidReason::kReleasePending;
-  as->page_table().SyncValid(vpage);
-  release_work_.push_back(ReleaseWorkItem{as, vpage, depth});
-  if (TMH_UNLIKELY(observing_)) {
-    event_log_.Record(Now(), KernelEventType::kReleaseEnqueue, /*thread=*/0, as->id(), vpage);
-  }
-  ++stats_.release_pages_enqueued;
   ++stats_.monitor_releases_enqueued;
-  ++as->stats().release_pages_requested;
-  Hook(VmHookOp::kReleaseEnqueue, as->id(), vpage, pte.frame);
   return true;
 }
 

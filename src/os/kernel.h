@@ -299,6 +299,13 @@ class Kernel {
                         int* ops);
   ExecResult DoPrefetch(Thread* t, Op& op, SimDuration* elapsed);
   ExecResult DoRelease(Thread* t, Op& op, SimDuration* elapsed);
+  // Per-page body of a release, shared by the release syscall and the
+  // monitor's cold scheme so the releaser and the rescue path cannot tell them
+  // apart: unless `vpage` is non-resident, already queued or I/O-busy, clears
+  // its bitmap bit, invalidates it as release-pending and queues it for the
+  // releaser (demoting to slow tier `depth`; 0 frees). `tid` attributes the
+  // event-log record. Returns true if the page was queued.
+  bool EnqueueReleasePage(AddressSpace* as, VPage vpage, int32_t depth, int32_t tid);
   // Acquires `lock` for `t` or blocks it. Returns true when the lock is held.
   bool AcquireOrBlock(Thread* t, MemoryLock& lock, SimDuration* elapsed);
   void ReleaseLock(Thread* t, MemoryLock& lock);

@@ -11,6 +11,7 @@
 #ifndef TMH_SRC_VM_PAGE_TABLE_H_
 #define TMH_SRC_VM_PAGE_TABLE_H_
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -49,7 +50,8 @@ class PageTable {
  public:
   explicit PageTable(VPage num_pages)
       : ptes_(static_cast<size_t>(num_pages)),
-        valid_words_((static_cast<size_t>(num_pages) + 63) / 64, 0) {}
+        valid_words_((static_cast<size_t>(num_pages) + 63) / 64, 0),
+        resident_words_(valid_words_.size(), 0) {}
 
   [[nodiscard]] VPage size() const { return static_cast<VPage>(ptes_.size()); }
 
@@ -71,21 +73,35 @@ class PageTable {
     --resident_count_;
   }
 
-  // --- packed touchable plane -------------------------------------------------
-  // Bit v mirrors `at(v).resident && at(v).valid` — the exact predicate of
-  // DoTouch's no-fault fast path. The kernel re-syncs a page's bit after every
-  // mutation of the PTE's resident/valid fields; the invariant checker
-  // cross-checks the plane bit-for-bit against the PTE array. DoTouchRun's
-  // bulk path and the interpreter's span planner test touches against this
-  // plane (one bit per page, 64 pages per word) instead of loading PTEs.
+  // --- packed planes ----------------------------------------------------------
+  // Two bit planes mirror the PTE array, one bit per page, 64 pages per word,
+  // tail bits past size() always clear:
+  //   valid plane    — bit v is `at(v).resident && at(v).valid`, the exact
+  //                    predicate of DoTouch's no-fault fast path. DoTouchRun's
+  //                    bulk path and the interpreter's span planner test
+  //                    touches against it instead of loading PTEs.
+  //   resident plane — bit v is `at(v).resident`. NextResident() scans it a
+  //                    word at a time, so a walk over a mostly non-resident
+  //                    range (the access monitor's scheme loops) costs one
+  //                    load per 64 pages plus one step per resident page.
+  // The kernel calls SyncPlanes(v) after every mutation of page v's
+  // resident/valid fields; the invariant checker (I-PT) compares both planes
+  // word by word against the PTE array on every full pass.
 
-  void SyncValid(VPage vpage) {
+  void SyncPlanes(VPage vpage) {
     assert(vpage >= 0 && vpage < size());
     const Pte& pte = ptes_[static_cast<size_t>(vpage)];
-    if (pte.resident && pte.valid) {
-      valid_words_[Word(vpage)] |= Mask(vpage);
+    const size_t w = Word(vpage);
+    const uint64_t mask = Mask(vpage);
+    if (pte.resident) {
+      resident_words_[w] |= mask;
     } else {
-      valid_words_[Word(vpage)] &= ~Mask(vpage);
+      resident_words_[w] &= ~mask;
+    }
+    if (pte.resident && pte.valid) {
+      valid_words_[w] |= mask;
+    } else {
+      valid_words_[w] &= ~mask;
     }
   }
 
@@ -95,8 +111,27 @@ class PageTable {
     return (valid_words_[Word(vpage)] & Mask(vpage)) != 0;
   }
 
+  // First resident page in [from, end), or `end` if there is none.
+  [[nodiscard]] VPage NextResident(VPage from, VPage end) const {
+    assert(from >= 0 && end <= size());
+    if (from >= end) {
+      return end;
+    }
+    size_t w = Word(from);
+    const size_t last = Word(end - 1);
+    uint64_t bits = resident_words_[w] & (~0ULL << (static_cast<uint64_t>(from) % 64));
+    while (bits == 0) {
+      if (++w > last) {
+        return end;
+      }
+      bits = resident_words_[w];
+    }
+    const auto v = static_cast<VPage>(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    return v < end ? v : end;
+  }
+
   [[nodiscard]] const uint64_t* valid_words() const { return valid_words_.data(); }
-  [[nodiscard]] size_t num_valid_words() const { return valid_words_.size(); }
+  [[nodiscard]] const uint64_t* resident_words() const { return resident_words_.data(); }
 
  private:
   static size_t Word(VPage vpage) { return static_cast<size_t>(vpage) / 64; }
@@ -104,6 +139,7 @@ class PageTable {
 
   std::vector<Pte> ptes_;
   std::vector<uint64_t> valid_words_;
+  std::vector<uint64_t> resident_words_;
   int64_t resident_count_ = 0;
 };
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/core/experiment.h"
 #include "src/monitor/access_monitor.h"
 #include "src/sim/rng.h"
@@ -74,6 +77,26 @@ TEST(MonitorKernelTest, EnqueueReleaseFlowsThroughReleaser) {
   EXPECT_TRUE(as->page_table().at(1).resident);  // untouched by the monitor
 }
 
+TEST(MonitorKernelTest, ResidentPlaneFollowsMapAndUnmap) {
+  Kernel kernel(TestMachine());
+  kernel.StartDaemons();
+  AddressSpace* as = MakeAnonAs(kernel, "a", 100);
+  ScriptProgram prog({Op::Touch(3, /*write=*/true, kMsec), Op::Touch(70, /*write=*/true, kMsec)});
+  Thread* t = kernel.Spawn("t", as, &prog);
+  ASSERT_TRUE(kernel.RunUntilThreadsDone({t}));
+  const PageTable& pt = as->page_table();
+  EXPECT_EQ(pt.NextResident(0, 100), 3);  // MapFrame set the bits
+  EXPECT_EQ(pt.NextResident(4, 100), 70);
+
+  ASSERT_TRUE(kernel.MonitorEnqueueRelease(as, 3));
+  kernel.MonitorPublishReleases(as);
+  ScriptProgram sleeper({Op::Sleep(500 * kMsec)});
+  Thread* ts = kernel.Spawn("s", as, &sleeper);
+  ASSERT_TRUE(kernel.RunUntilThreadsDone({ts}));
+  ASSERT_FALSE(pt.at(3).resident);
+  EXPECT_EQ(pt.NextResident(0, 100), 70);  // UnmapFrame cleared page 3's bit
+}
+
 TEST(MonitorKernelTest, EnqueueReleaseClearsPagingDirectedBitmap) {
   Kernel kernel(TestMachine());
   kernel.StartDaemons();
@@ -106,6 +129,51 @@ TEST(MonitorKernelTest, ProtectPageSetsReferenceBit) {
   EXPECT_TRUE(kernel.frames().referenced(pte.frame));
   EXPECT_FALSE(kernel.MonitorProtectPage(as, 5));  // not resident
   EXPECT_EQ(kernel.stats().monitor_pages_protected, 1u);
+}
+
+// --- configuration -----------------------------------------------------------
+
+TEST(MonitorConfigTest, ValidateRejectsConfigsThatCannotRun) {
+  EXPECT_EQ(MonitorConfig{}.Validate(), "");
+  auto rejected = [](auto mutate) {
+    MonitorConfig config;
+    mutate(config);
+    return !config.Validate().empty();
+  };
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.sample_period = 0; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.samples_per_aggregation = 0; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.min_regions = 0; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.max_regions = c.min_regions - 1; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.merge_threshold = -1; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.cold_max_accesses = -1; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.cold_min_age = -1; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.cold_quota_pages = -1; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.hot_min_accesses = -1; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.demote_tier = -1; }));
+  EXPECT_FALSE(rejected([](MonitorConfig& c) { c.sample_period = 1; }));
+  EXPECT_FALSE(rejected([](MonitorConfig& c) { c.min_regions = c.max_regions = 1; }));
+  // The fuzzer's monitor draws (period 5-40 ms, max_regions 16-128, min
+  // regions capped at max) must all stay valid.
+  for (const int64_t period_ms : {5, 40}) {
+    for (const int64_t max_regions : {16, 128}) {
+      MonitorConfig config;
+      config.sample_period = period_ms * kMsec;
+      config.max_regions = max_regions;
+      config.min_regions = std::min<int64_t>(MonitorConfig{}.min_regions, max_regions);
+      EXPECT_EQ(config.Validate(), "");
+    }
+  }
+}
+
+TEST(MonitorConfigDeathTest, ConstructorAbortsOnInvalidConfig) {
+  MonitorConfig config;
+  config.sample_period = 0;
+  EXPECT_DEATH(
+      {
+        Kernel kernel(TestMachine());
+        AccessMonitor monitor(kernel, config);
+      },
+      "sample period");
 }
 
 // --- region sampler dynamics --------------------------------------------------
@@ -185,6 +253,79 @@ TEST(AccessMonitorTest, UntargetedAddressSpaceIsNeverSampled) {
   EXPECT_EQ(monitor.RegionsFor(bystander->id()), nullptr);
   EXPECT_EQ(bystander->stats().invalidations_received, 0u);
   EXPECT_GT(target->stats().invalidations_received, 0u);
+}
+
+// Writes every 5th page of a 300-page space once (cold, sparsely resident,
+// and 300 % 64 != 0), then reads a 16-page cluster round-robin forever (hot).
+class SparseThenHot : public Program {
+ public:
+  static constexpr VPage kPages = 300;
+  static constexpr VPage kHotBegin = 128;
+  static constexpr VPage kHotPages = 16;
+
+  Op Next(Kernel& kernel) override {
+    (void)kernel;
+    if (next_cold_ < kPages) {
+      const VPage p = next_cold_;
+      next_cold_ += 5;
+      return Op::Touch(p, /*write=*/true, 100 * kUsec);
+    }
+    const VPage p = kHotBegin + hot_step_ % kHotPages;
+    ++hot_step_;
+    return Op::Touch(p, /*write=*/false, 100 * kUsec);
+  }
+
+ private:
+  VPage next_cold_ = 0;
+  VPage hot_step_ = 0;
+};
+
+std::string CountersLine(const MonitorStats& stats) {
+  std::string line;
+  ForEachCounter(stats, [&](const char* name, uint64_t value) {
+    line += std::string(name) + "=" + std::to_string(value) + " ";
+  });
+  return line;
+}
+
+// Both scheme loops fire on a sparsely resident space: the cold pages are
+// released and the hot cluster is protected. The counters are pinned to the
+// values of the page-by-page region walk, so the resident-page walk must
+// visit exactly the pages that walk acted on, in the same order.
+TEST(AccessMonitorTest, ColdAndHotSchemesOnSparseSpaceArePinned) {
+  Kernel kernel(TestMachine(96));
+  MonitorConfig config;
+  config.sample_period = 5 * kMsec;
+  config.samples_per_aggregation = 4;
+  config.min_regions = 4;
+  config.max_regions = 32;
+  config.cold_min_age = 1;
+  config.cold_quota_pages = 16;
+  config.protect_hot = true;
+  config.hot_min_accesses = 1;
+  AccessMonitor monitor(kernel, config);
+  kernel.StartDaemons();
+  AddressSpace* as = MakeAnonAs(kernel, "sparse", SparseThenHot::kPages);
+  SparseThenHot prog;
+  kernel.Spawn("sparse", as, &prog);
+  monitor.Start();
+  const SimTime deadline = 2 * kSec;
+  kernel.RunUntilDone([&] { return kernel.Now() >= deadline; });
+
+  const MonitorStats& stats = monitor.stats();
+  EXPECT_GT(stats.cold_pages_enqueued, 0u);
+  EXPECT_GT(stats.hot_pages_protected, 0u);
+  EXPECT_EQ(CountersLine(stats),
+            "ticks=399 aggregations=99 samples_armed=428 samples_checked=2549 "
+            "samples_hit=417 region_splits=240 region_merges=237 max_regions_seen=8 "
+            "cold_regions_actioned=384 cold_pages_enqueued=662 hot_regions_actioned=124 "
+            "hot_pages_protected=966 ");
+  const KernelStats& ks = kernel.stats();
+  EXPECT_EQ(ks.monitor_invalidations, 428u);
+  EXPECT_EQ(ks.monitor_soft_faults, 417u);
+  EXPECT_EQ(ks.monitor_releases_enqueued, 662u);
+  EXPECT_EQ(ks.monitor_pages_protected, 966u);
+  EXPECT_EQ(ks.releaser_pages_freed, 662u);
 }
 
 // --- end-to-end: determinism and checks ---------------------------------------

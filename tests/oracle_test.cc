@@ -390,8 +390,20 @@ TEST_F(CorruptionTest, FrameInLimboIsCaught) {
 TEST_F(CorruptionTest, UnqueuedReleasePendingPageIsCaught) {
   pte(0).valid = false;
   pte(0).invalid_reason = InvalidReason::kReleasePending;
-  as_->page_table().SyncValid(0);
+  as_->page_table().SyncPlanes(0);
   ExpectCaught("I-RQ");
+}
+
+TEST_F(CorruptionTest, StaleValidPlaneBitIsCaught) {
+  uint64_t* valid = const_cast<uint64_t*>(as_->page_table().valid_words());
+  valid[0] &= ~1ULL;  // page 0 is resident and valid
+  ExpectCaught("I-PT");
+}
+
+TEST_F(CorruptionTest, StaleResidentPlaneBitIsCaught) {
+  uint64_t* resident = const_cast<uint64_t*>(as_->page_table().resident_words());
+  resident[0] |= 1ULL << 2;  // page 2 was never touched
+  ExpectCaught("I-PT");
 }
 
 TEST_F(CorruptionTest, FreeListOrderSwapIsCaughtByTheOracle) {

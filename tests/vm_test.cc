@@ -196,6 +196,59 @@ TEST(PageTableTest, FreshPteIsEmpty) {
   EXPECT_FALSE(pte.ever_materialized);
 }
 
+void SetResident(PageTable& pt, VPage v, bool resident) {
+  pt.at(v).resident = resident;
+  pt.SyncPlanes(v);
+}
+
+TEST(PageTableTest, NextResidentHonorsMidWordBounds) {
+  PageTable pt(200);
+  for (const VPage v : {3, 5, 63, 64, 130}) {
+    SetResident(pt, v, true);
+  }
+  EXPECT_EQ(pt.NextResident(0, 200), 3);
+  EXPECT_EQ(pt.NextResident(4, 200), 5);   // from mid-word masks bits below it
+  EXPECT_EQ(pt.NextResident(6, 60), 60);   // none in range: returns end
+  EXPECT_EQ(pt.NextResident(6, 64), 63);   // last bit of a word
+  EXPECT_EQ(pt.NextResident(6, 63), 63);   // end excludes page 63
+  EXPECT_EQ(pt.NextResident(64, 200), 64); // first bit of a word
+  EXPECT_EQ(pt.NextResident(65, 130), 130);
+  EXPECT_EQ(pt.NextResident(65, 131), 130);
+  EXPECT_EQ(pt.NextResident(131, 200), 200);
+}
+
+TEST(PageTableTest, NextResidentOnEmptyRangeReturnsEnd) {
+  PageTable pt(100);
+  SetResident(pt, 10, true);
+  EXPECT_EQ(pt.NextResident(10, 10), 10);
+  EXPECT_EQ(pt.NextResident(0, 0), 0);
+  EXPECT_EQ(pt.NextResident(100, 100), 100);
+  EXPECT_EQ(PageTable(0).NextResident(0, 0), 0);
+}
+
+TEST(PageTableTest, NextResidentStopsAtAPartialLastWord) {
+  PageTable pt(130);  // 130 % 64 == 2: the last word holds two pages
+  SetResident(pt, 128, true);
+  SetResident(pt, 129, true);
+  EXPECT_EQ(pt.NextResident(0, 130), 128);
+  EXPECT_EQ(pt.NextResident(129, 130), 129);
+  EXPECT_EQ(pt.resident_words()[2], 0b11u);  // tail bits stay clear
+  SetResident(pt, 129, false);
+  EXPECT_EQ(pt.NextResident(129, 130), 130);
+  EXPECT_EQ(pt.NextResident(0, 128), 128);
+}
+
+TEST(PageTableTest, ResidentPlaneIgnoresValidity) {
+  PageTable pt(70);
+  SetResident(pt, 66, true);  // resident but invalid (e.g. fresh prefetch)
+  EXPECT_FALSE(pt.Touchable(66));
+  EXPECT_EQ(pt.NextResident(0, 70), 66);
+  pt.at(66).valid = true;
+  pt.SyncPlanes(66);
+  EXPECT_TRUE(pt.Touchable(66));
+  EXPECT_EQ(pt.NextResident(0, 70), 66);
+}
+
 TEST(ResidencyBitmapTest, SetClearTest) {
   ResidencyBitmap bitmap(200);
   EXPECT_FALSE(bitmap.Test(100));

@@ -128,6 +128,15 @@ std::vector<std::string> SplitList(const std::string& s) {
   }
 }
 
+tmh::MonitorConfig MonitorConfigFor(const Flags& flags) {
+  tmh::MonitorConfig config;
+  config.protect_hot = flags.monitor_protect;
+  if (flags.monitor_period_ms > 0) {
+    config.sample_period = static_cast<tmh::SimDuration>(flags.monitor_period_ms * tmh::kMsec);
+  }
+  return config;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -215,10 +224,19 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->html_path = next("--html");
     } else if (arg == "--trace-period") {
       flags->trace_period_s = std::atof(next("--trace-period"));
-      require(flags->trace_period_s > 0, "--trace-period must be > 0");
+      // Compared before the cast: a period under 1 ns would truncate to 0 and
+      // silently turn tracing off.
+      require(flags->trace_period_s * tmh::kSec >= 1, "--trace-period must be at least 1 ns");
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg.c_str());
       return false;
+    }
+  }
+  if (flags->monitor) {
+    const std::string error = MonitorConfigFor(*flags).Validate();
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      std::exit(2);
     }
   }
   return true;
@@ -267,11 +285,7 @@ tmh::ExperimentSpec SpecFor(const Flags& flags, const tmh::WorkloadInfo& info,
   spec.runtime.drain_newest_first = flags.drain_newest_first;
   spec.checks = flags.checks;
   spec.monitor = flags.monitor;
-  spec.monitor_config.protect_hot = flags.monitor_protect;
-  if (flags.monitor_period_ms > 0) {
-    spec.monitor_config.sample_period =
-        static_cast<tmh::SimDuration>(flags.monitor_period_ms * tmh::kMsec);
-  }
+  spec.monitor_config = MonitorConfigFor(flags);
   return spec;
 }
 
