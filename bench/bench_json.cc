@@ -1,8 +1,8 @@
 // Machine-readable regression harness for the substrate's hot paths.
 //
 // Emits one JSON document (schema "tmh-bench-v1") with ns/op and items/s for
-// the event queue, residency bitmap, free list, and hint filter, plus
-// sim-events/s for a fixed Figure-7-style end-to-end run. The numbers are
+// the event queue, residency bitmap, frame pool (free list), and hint filter,
+// plus sim-events/s for a fixed Figure-7-style end-to-end run. The numbers are
 // wall-clock and therefore noisy; each micro-kernel is repeated and the best
 // repeat is reported, which is stable enough for the coarse regression gate in
 // tools/bench_regress.py. Committed snapshots live at the repo root as
@@ -27,7 +27,7 @@
 #include "src/runtime/runtime_layer.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/vm/free_list.h"
+#include "src/vm/frame_pool.h"
 #include "src/vm/residency_bitmap.h"
 #include "src/workloads/workloads.h"
 
@@ -109,19 +109,19 @@ BenchResult BitmapRangeOps(int64_t pages, int repeats) {
   });
 }
 
-BenchResult FreeListChurn(int64_t frames, uint64_t iters, int repeats) {
-  FreeList list(frames);
+BenchResult FramePoolChurn(int64_t frames, uint64_t iters, int repeats) {
+  FramePool pool(frames, 1);
   for (FrameId f = 0; f < frames; ++f) {
-    list.PushTail(f);
+    pool.PushTail(f);
   }
   Rng rng(1);
-  return Best("free_list_churn", iters, repeats, [&list, &rng, iters] {
+  return Best("frame_pool_churn", iters, repeats, [&pool, &rng, iters] {
     for (uint64_t i = 0; i < iters; ++i) {
-      const FrameId f = list.PopHead();
+      const FrameId f = pool.PopHead(0);
       if (rng.NextBelow(2) == 0) {
-        list.PushTail(f);
+        pool.PushTail(f);
       } else {
-        list.PushHead(f);
+        pool.PushHead(f);
       }
     }
   });
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
   results.push_back(tmh::EventQueueScheduleRun(10000, 5));
   results.push_back(tmh::EventQueueCancelHalf(10000, 5));
   results.push_back(tmh::BitmapRangeOps(32768, 5));
-  results.push_back(tmh::FreeListChurn(4800, 100000, 5));
+  results.push_back(tmh::FramePoolChurn(4800, 100000, 5));
   results.push_back(tmh::HintFiltering(100000, 5));
   const tmh::EndToEndResult e2e = tmh::Fig07StyleRun(3);
   // Larger-scale leg of the same configuration: more pages, longer steady

@@ -16,7 +16,6 @@
 #include "src/sim/ring_buffer.h"
 #include "src/sim/rng.h"
 #include "src/vm/frame_table.h"
-#include "src/vm/free_list.h"
 #include "src/vm/residency_bitmap.h"
 #include "src/workloads/workloads.h"
 
@@ -52,25 +51,6 @@ void BM_EventQueueCancelHalf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueCancelHalf)->Arg(10000);
-
-void BM_FreeListChurn(benchmark::State& state) {
-  const int64_t frames = state.range(0);
-  FreeList list(frames);
-  for (FrameId f = 0; f < frames; ++f) {
-    list.PushTail(f);
-  }
-  Rng rng(1);
-  for (auto _ : state) {
-    const FrameId f = list.PopHead();
-    if (rng.NextBelow(2) == 0) {
-      list.PushTail(f);
-    } else {
-      list.PushHead(f);
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FreeListChurn)->Arg(4800);
 
 void BM_BitmapSetTestClear(benchmark::State& state) {
   ResidencyBitmap bitmap(32768);

@@ -1,8 +1,9 @@
 // Kernel invariant checker.
 //
 // Attaches to a Kernel as its VmChecker and cross-validates the bitmap, the
-// frame table, the page tables, and the FreeList against each other — and
-// against the VmOracle reference model — while the simulation runs. Per-hook
+// frame table, the page tables, and the free list (FramePool) against each
+// other — and against the VmOracle reference model — while the simulation
+// runs. Per-hook
 // the oracle replays and immediately flags semantic divergence (wrong
 // allocation order, double free, writeback of a clean frame, a mispublished
 // Eq. 1 header); at quiescent points the checker runs a full structural pass

@@ -14,8 +14,9 @@
 namespace tmh {
 
 std::string MonitorConfig::Validate() const {
-  if (sample_period < 1) {
-    return "monitor sample period must be at least 1 ns";
+  if (sample_period < kMinSlice) {
+    return "monitor sample period must be at least the kernel's minimum slice (" +
+           std::to_string(kMinSlice / kUsec) + " us)";
   }
   if (samples_per_aggregation < 1) {
     return "monitor samples per aggregation must be at least 1";

@@ -84,8 +84,9 @@ struct MonitorConfig {
   int64_t hot_min_accesses = 5;
 
   // Empty if the configuration can run; otherwise what is wrong with it. A
-  // sample period under 1 ns would re-arm the tick at the same instant
-  // forever. The AccessMonitor constructor aborts on an invalid config.
+  // sample period below the kernel's minimum slice (kMinSlice) ticks faster
+  // than the simulation can honour, and at 0 would re-arm the tick at the same
+  // instant forever. The AccessMonitor constructor aborts on an invalid config.
   [[nodiscard]] std::string Validate() const;
 };
 

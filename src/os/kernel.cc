@@ -10,10 +10,6 @@
 namespace tmh {
 namespace {
 
-// Shortest CPU slice we simulate; bounds the skew introduced by executing a
-// slice's operations at its start time.
-constexpr SimDuration kMinSlice = 100 * kUsec;
-
 // Safety cap on operations per slice (guards against zero-cost op loops).
 constexpr int kMaxOpsPerSlice = 1 << 20;
 
@@ -270,7 +266,7 @@ void Kernel::TryDispatch() {
   // same-time events (which must then run before any further dispatch).
   // A fired stop hint forces the queued path: RunUntilDone's predicate must
   // get its between-events check before the slice runs.
-  if (config_.inline_dispatch && !in_slice_ && TMH_LIKELY(checker_ == nullptr)) {
+  if (!in_slice_ && TMH_LIKELY(checker_ == nullptr)) {
     while (busy_cpus_ < config_.num_cpus && !run_queue_.empty() &&
            queue_.NextEventTime(Now() + 1) > Now() && !StopHintFires()) {
       Thread* t = run_queue_.front();
@@ -1089,11 +1085,13 @@ Kernel::ExecResult Kernel::DoTouchRun(Thread* t, Op& op, SimDuration* elapsed,
   // steps 0..N-2 fit this slice's budget; the budget test below extends that
   // to the final step's touches, so only its compute op may overrun, exactly
   // as it would unfused.
-  // Degrades to the exact replay whenever an observer needs the per-op
-  // narration (checker, monitor, event log), a fault/lock/cursor is in
-  // flight, or the slice's op cap or budget would land mid-run (the unfused
-  // stream would have been preempted there, so replay it op by op).
-  if (TMH_LIKELY(checker_ == nullptr && monitor_ == nullptr && !observing_) &&
+  // The monitor and the event log see nothing of a valid-PTE touch (a sampled
+  // page is invalid, so never Touchable), so the bulk tier is exact under
+  // both. It degrades to the exact replay when the checker needs the per-op
+  // narration, a fault/lock/cursor is in flight, or the slice's op cap or
+  // budget would land mid-run (the unfused stream would have been preempted
+  // there, so replay it op by op).
+  if (TMH_LIKELY(checker_ == nullptr) &&
       run.next_step == 0 && run.next_touch == 0 &&
       t->fault_phase_ == Thread::FaultPhase::kNone && !lock.IsHeldBy(t) &&
       *ops + num_touches + run.num_steps < kMaxOpsPerSlice) {

@@ -4,6 +4,25 @@
 #include <cassert>
 
 namespace tmh {
+namespace {
+
+// First tag of nest `nest_idx`'s adaptive range. A nest compiles to at most a
+// prefetch and a release directive per ref, so the static tags lie below
+// 2 * (all refs) and each nest's range is as wide as twice its ref count:
+// the ranges are disjoint from the static tags and from each other, and the
+// run-time layer's tag-indexed state stays dense.
+int32_t AdaptiveTagBase(const CompiledProgram& prog, size_t nest_idx) {
+  size_t refs_total = 0;
+  size_t refs_before = 0;
+  for (size_t i = 0; i < prog.nests.size(); ++i) {
+    const size_t refs = prog.nests[i].nest.refs.size();
+    refs_total += refs;
+    refs_before += i < nest_idx ? refs : 0;
+  }
+  return static_cast<int32_t>(2 * (refs_total + refs_before));
+}
+
+}  // namespace
 
 RefCursor::RefCursor(const SourceProgram& source, const ArrayLayout& layout,
                      const LoopNest& nest, const ArrayRef& ref)
@@ -127,7 +146,7 @@ void Interpreter::EnterNest() {
     for (Loop& loop : specialized.loops) {
       loop.upper_known = true;
     }
-    int32_t tag = static_cast<int32_t>(1'000'000 + 1000 * nest_idx_);
+    int32_t tag = AdaptiveTagBase(*prog_, nest_idx_);
     adaptive_nest_ = CompileNest(prog_->source, specialized, prog_->layout, prog_->target,
                                  prog_->options, &tag, nullptr);
     active_nest_ = &adaptive_nest_;

@@ -5,7 +5,10 @@
 namespace tmh {
 
 PrefetchPool::PrefetchPool(Kernel* kernel, AddressSpace* as, int num_threads, size_t max_queue)
-    : kernel_(kernel), as_(as), max_queue_(max_queue) {
+    : kernel_(kernel),
+      as_(as),
+      queued_(static_cast<size_t>(as->num_pages()), 0),
+      max_queue_(max_queue) {
   if (kernel_->observing()) {
     hist_queue_wait_ = kernel_->metrics().GetHistogram(
         "prefetch.queue_wait_ns", ExponentialBounds(1000.0, 2.0, 26),
@@ -19,7 +22,8 @@ PrefetchPool::PrefetchPool(Kernel* kernel, AddressSpace* as, int num_threads, si
 }
 
 void PrefetchPool::Enqueue(VPage page) {
-  if (queued_.contains(page)) {
+  uint8_t& queued = queued_[static_cast<size_t>(page)];
+  if (queued != 0) {
     ++duplicates_;
     return;
   }
@@ -27,30 +31,23 @@ void PrefetchPool::Enqueue(VPage page) {
     ++dropped_full_;
     return;
   }
-  queued_.insert(page);
-  queue_.push_back(page);
-  if (hist_queue_wait_ != nullptr) {
-    enqueued_at_[page] = kernel_->Now();
-  }
+  queued = 1;
+  queue_.push_back({page, kernel_->Now()});
   ++enqueued_;
   kernel_->Signal(&wq_);
 }
 
 Op PrefetchPool::Worker::Next(Kernel& kernel) {
-  (void)kernel;
   if (pool_->queue_.empty()) {
     return Op::Wait(&pool_->wq_);
   }
-  const VPage page = pool_->queue_.front();
+  const Request request = pool_->queue_.front();
   pool_->queue_.pop_front();
-  pool_->queued_.erase(page);
+  pool_->queued_[static_cast<size_t>(request.page)] = 0;
   if (pool_->hist_queue_wait_ != nullptr) {
-    if (const auto it = pool_->enqueued_at_.find(page); it != pool_->enqueued_at_.end()) {
-      pool_->hist_queue_wait_->Add(static_cast<double>(kernel.Now() - it->second));
-      pool_->enqueued_at_.erase(it);
-    }
+    pool_->hist_queue_wait_->Add(static_cast<double>(kernel.Now() - request.enqueued_at));
   }
-  Op op = Op::Prefetch(page);
+  Op op = Op::Prefetch(request.page);
   op.as = pool_->as_;
   return op;
 }

@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/os/kernel.h"
@@ -32,8 +30,9 @@ class PrefetchPool {
   PrefetchPool(const PrefetchPool&) = delete;
   PrefetchPool& operator=(const PrefetchPool&) = delete;
 
-  // Enqueues a prefetch for `page` unless it is already queued or the queue is
-  // full. Called inline from the application's run-time layer (user level).
+  // Enqueues a prefetch for `page` (in [0, as->num_pages())) unless it is
+  // already queued or the queue is full. Called inline from the application's
+  // run-time layer (user level).
   void Enqueue(VPage page);
 
   [[nodiscard]] size_t queue_depth() const { return queue_.size(); }
@@ -55,8 +54,14 @@ class PrefetchPool {
   Kernel* kernel_;
   AddressSpace* as_;
   WaitQueue wq_;
-  std::deque<VPage> queue_;
-  std::unordered_set<VPage> queued_;  // dedup of pending requests
+  // Pending requests in FIFO order, each with the time it was enqueued (read
+  // only for the queue-wait histogram).
+  struct Request {
+    VPage page;
+    SimTime enqueued_at;
+  };
+  std::deque<Request> queue_;
+  std::vector<uint8_t> queued_;  // per page of `as`: 1 while a request is pending
   size_t max_queue_;
   uint64_t enqueued_ = 0;
   uint64_t dropped_full_ = 0;
@@ -66,7 +71,6 @@ class PrefetchPool {
   // Observability (set only when the kernel was observing at construction):
   // how long requests sat queued before a worker picked them up.
   Histogram* hist_queue_wait_ = nullptr;
-  std::unordered_map<VPage, SimTime> enqueued_at_;
 };
 
 }  // namespace tmh

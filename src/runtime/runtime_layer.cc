@@ -40,29 +40,21 @@ SimDuration RuntimeLayer::OnReleaseHint(VPage page, int32_t priority, int32_t ta
   // page means it is still in use and is dropped; a different page causes the
   // *previously recorded* page to be handled, keeping issued releases one or
   // more iterations behind the compiler's stream.
-  //
-  // The compiled hint stream names one tag for long runs (one hint per
-  // iteration of the same nest), so the map node found last time is cached and
-  // re-hit without a hash lookup. unordered_map never invalidates element
-  // pointers on insert; FlushTag (the only erase) drops the cache.
-  VPage* last;
-  if (tag == cached_tag_ && cached_last_ != nullptr) {
-    last = cached_last_;
-  } else {
-    auto [it, inserted] = last_release_.try_emplace(tag, page);
-    cached_tag_ = tag;
-    cached_last_ = &it->second;
-    if (inserted) {
-      return cost;
-    }
-    last = cached_last_;
+  const auto t = static_cast<size_t>(tag);
+  if (t >= last_release_.size()) {
+    last_release_.resize(t + 1, kNoVPage);
   }
-  if (*last == page) {
+  VPage& last = last_release_[t];
+  if (last == kNoVPage) {
+    last = page;
+    return cost;
+  }
+  if (last == page) {
     ++stats_.release_filtered_same_page;
     return cost;
   }
-  const VPage previous = *last;
-  *last = page;
+  const VPage previous = last;
+  last = page;
   PolicyAccept(previous, priority, tag, out);
   return cost + options_.enqueue_cost;
 }
@@ -94,18 +86,14 @@ SimDuration RuntimeLayer::OnReleaseHintBatch(VPage page, int32_t priority, int32
 }
 
 SimDuration RuntimeLayer::FlushTag(int32_t tag, std::vector<Op>& out) {
-  const auto it = last_release_.find(tag);
-  if (it == last_release_.end()) {
+  const auto t = static_cast<size_t>(tag);
+  if (t >= last_release_.size() || last_release_[t] == kNoVPage) {
     return 0;
   }
   ++stats_.tag_flushes;
-  const VPage page = it->second;
-  last_release_.erase(it);
-  cached_last_ = nullptr;  // the erased node may be the cached one
-  int32_t priority = 0;
-  if (const auto tq = tag_queues_.find(tag); tq != tag_queues_.end()) {
-    priority = tq->second.priority;
-  }
+  const VPage page = last_release_[t];
+  last_release_[t] = kNoVPage;
+  const int32_t priority = t < tag_queues_.size() ? tag_queues_[t].priority : 0;
   PolicyAccept(page, priority, tag, out);
   return options_.hint_check_cost;
 }
@@ -132,11 +120,11 @@ void RuntimeLayer::PolicyAccept(VPage page, int32_t priority, int32_t tag,
     ++stats_.releases_issued_immediate;
     return;
   }
-  if (tag != cached_queue_tag_ || cached_queue_ == nullptr) {
-    cached_queue_tag_ = tag;
-    cached_queue_ = &tag_queues_[tag];
+  const auto t = static_cast<size_t>(tag);
+  if (t >= tag_queues_.size()) {
+    tag_queues_.resize(t + 1);
   }
-  TagQueue& queue = *cached_queue_;
+  TagQueue& queue = tag_queues_[t];
   if (queue.pages.empty() && queue.priority == 0) {
     queue.priority = priority;
     priority_list_[priority].push_back(tag);
@@ -160,23 +148,16 @@ void RuntimeLayer::MaybeDrain(std::vector<Op>& out) {
   ++stats_.release_drains;
   int remaining = options_.release_batch;
   // Lowest priority first; round-robin across the tags at each priority;
-  // within a tag, most-recently-released first (MRU for swept arrays).
+  // within a tag, oldest first (newest first with drain_newest_first).
+  // Draining only appends Ops: it flips no residency, so the hoisted bitmap
+  // reference serves the stale check, and it adds no tag, so tag_queues_ is
+  // never resized under the loop.
   for (auto& [priority, tags] : priority_list_) {
-    // Resolve each tag's queue once per drain. The round-robin below revisits
-    // every tag once per pass, so for a ~100-page batch spread over a few tags
-    // that was one hash lookup per page; against the scratch array it is an
-    // indexed load. The bitmap reference hoisted above is equally valid for
-    // the stale check: draining only appends Ops, it never flips residency.
-    drain_queues_.clear();
-    drain_queues_.reserve(tags.size());
-    for (const int32_t tag : tags) {
-      drain_queues_.push_back(&tag_queues_[tag]);
-    }
     bool any = true;
     while (remaining > 0 && any) {
       any = false;
-      for (size_t i = 0; i < tags.size(); ++i) {
-        TagQueue& queue = *drain_queues_[i];
+      for (const int32_t tag : tags) {
+        TagQueue& queue = tag_queues_[static_cast<size_t>(tag)];
         if (queue.pages.empty() || remaining == 0) {
           continue;
         }
@@ -194,7 +175,7 @@ void RuntimeLayer::MaybeDrain(std::vector<Op>& out) {
           ++stats_.buffer_stale_dropped;  // already reclaimed some other way
           continue;
         }
-        EmitRelease(page, priority, tags[i], out);
+        EmitRelease(page, priority, tag, out);
         ++stats_.releases_issued_from_buffer;
         --remaining;
       }

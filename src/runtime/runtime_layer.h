@@ -10,9 +10,9 @@
 //     while releases with reuse are buffered in per-tag queues indexed by a
 //     priority list; only when the process's memory usage approaches the OS's
 //     recommended upper limit does the layer issue a batch (~100 pages) from
-//     the lowest-priority queues, draining each queue most-recently-released
-//     first, which realizes the MRU replacement the paper describes for
-//     larger-than-memory arrays with reuse.
+//     the lowest-priority queues, round-robin across the tags at each
+//     priority and oldest page first within a queue (drain_newest_first
+//     selects the MRU variant).
 //
 // All methods run inline in the application thread (user level): they return
 // the CPU cost of their own work and append any syscall Ops (kRelease) the
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "src/os/address_space.h"
@@ -88,8 +87,9 @@ class RuntimeLayer {
   // Handles a compiler prefetch hint for `page`. Returns the user-time cost.
   SimDuration OnPrefetchHint(VPage page);
 
-  // Handles a compiler release hint. Appends any resulting kRelease syscall
-  // Ops to `out` and returns the user-time cost.
+  // Handles a compiler release hint; `tag` is the directive's compiler tag
+  // (>= 0). Appends any resulting kRelease syscall Ops to `out` and returns
+  // the user-time cost.
   SimDuration OnReleaseHint(VPage page, int32_t priority, int32_t tag, std::vector<Op>& out);
 
   // Batch forms for hints the compiled code evaluates every iteration of a
@@ -136,29 +136,24 @@ class RuntimeLayer {
   RuntimeOptions options_;
   PrefetchPool pool_;
 
-  // Tag filter: last release address seen per tag (kNoVPage = none).
-  std::unordered_map<int32_t, VPage> last_release_;
-  // Cache of the map node the filter hit last (hint streams repeat one tag for
-  // whole loop nests). Element pointers survive inserts; FlushTag nulls it.
-  int32_t cached_tag_ = -1;
-  VPage* cached_last_ = nullptr;
+  // All per-tag state is indexed by the tag itself: the compiler hands out
+  // tags densely from 0 (CompileNest's next_tag, also for adaptive nests), so
+  // each vector grows on demand to the largest tag seen and never shrinks.
+  //
+  // Tag filter: the page of the last release hint per tag, kNoVPage when
+  // nothing is held back (never hinted, or flushed).
+  std::vector<VPage> last_release_;
 
   // Buffered policy state: per-tag release queues, grouped by priority.
   struct TagQueue {
-    std::deque<VPage> pages;  // pushed in hint order; drained from the back (MRU)
-    int32_t priority = 0;
+    std::deque<VPage> pages;  // hint order; drained from the front (or back)
+    int32_t priority = 0;     // set when the queue first buffers a page
   };
-  std::unordered_map<int32_t, TagQueue> tag_queues_;
-  // One-behind cache over tag_queues_, same pattern as the tag filter above:
-  // buffered accepts hit one tag for a whole nest, and element pointers
-  // survive inserts (tag_queues_ never erases).
-  int32_t cached_queue_tag_ = -1;
-  TagQueue* cached_queue_ = nullptr;
-  // Priority list: priority -> tags at that priority (round-robin cursor).
+  std::vector<TagQueue> tag_queues_;
+  // Priority list: priority -> tags at that priority, in first-buffered order
+  // (the drain's round-robin order). A tag stays listed once its queue empties.
   std::map<int32_t, std::vector<int32_t>> priority_list_;
   size_t buffered_pages_ = 0;
-  // Per-drain scratch: each tag's queue resolved once per batch, not per page.
-  std::vector<TagQueue*> drain_queues_;
 
   // Reactive mode: eviction candidates by priority, oldest first.
   std::map<int32_t, std::deque<VPage>> reactive_candidates_;

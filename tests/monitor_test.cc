@@ -150,7 +150,11 @@ TEST(MonitorConfigTest, ValidateRejectsConfigsThatCannotRun) {
   EXPECT_TRUE(rejected([](MonitorConfig& c) { c.cold_quota_pages = -1; }));
   EXPECT_TRUE(rejected([](MonitorConfig& c) { c.hot_min_accesses = -1; }));
   EXPECT_TRUE(rejected([](MonitorConfig& c) { c.demote_tier = -1; }));
-  EXPECT_FALSE(rejected([](MonitorConfig& c) { c.sample_period = 1; }));
+  // The floor is the kernel's minimum slice: 1 ns and 1 ns short of it are
+  // rejected, the slice itself is accepted.
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.sample_period = 1; }));
+  EXPECT_TRUE(rejected([](MonitorConfig& c) { c.sample_period = kMinSlice - 1; }));
+  EXPECT_FALSE(rejected([](MonitorConfig& c) { c.sample_period = kMinSlice; }));
   EXPECT_FALSE(rejected([](MonitorConfig& c) { c.min_regions = c.max_regions = 1; }));
   // The fuzzer's monitor draws (period 5-40 ms, max_regions 16-128, min
   // regions capped at max) must all stay valid.

@@ -1,8 +1,9 @@
 // Differential tests for the fused touch-run fast path: the interpreter's
 // batched kTouchRun stream must be bit-for-bit equivalent to the per-touch
 // stream — identical time breakdowns, fault counts, kernel counters, and
-// event totals — and every observer (checker, monitor) must force the exact
-// per-touch replay so its view of the run is unchanged.
+// event totals. The checker forces the exact per-touch replay; the monitor
+// and the event log see nothing of a valid-PTE touch, so they keep the bulk
+// tier with an unchanged view of the run.
 
 #include <cstring>
 #include <string>
@@ -148,15 +149,26 @@ TEST(RunFusionTest, CheckedRunTakesPerTouchPathAndStaysClean) {
   EXPECT_GT(result.kernel.touch_runs_replayed, 0u);
 }
 
-TEST(RunFusionTest, MonitoredRunTakesPerTouchPath) {
-  ExperimentSpec spec = MatvecSpec(AppVersion::kOriginal, true);
-  spec.monitor = true;
-  const ExperimentResult result = RunExperiment(spec);
-  ASSERT_TRUE(result.completed);
-  ASSERT_TRUE(result.monitor.has_value());
-  // Monitor sampling hooks fire per touch; the bulk path must stand down.
-  EXPECT_EQ(result.kernel.touch_runs_bulk, 0u);
-  EXPECT_GT(result.kernel.touch_runs_replayed, 0u);
+TEST(RunFusionTest, MonitoredAndLoggedRunTakesBulkPath) {
+  // Neither the monitor nor the event log sees a valid-PTE touch (a sampled
+  // page is invalid, so never Touchable), so a monitored, event-logged run
+  // keeps the bulk tier and must match its unfused twin event for event. In
+  // core (default 75MB machine) so whole spans are resident.
+  ExperimentSpec fused_spec = ProgramSpec(MakeMatvec(0.05), AppVersion::kOriginal, true);
+  fused_spec.machine = MachineConfig{};
+  fused_spec.monitor = true;
+  fused_spec.observe = true;
+  ExperimentSpec plain_spec = fused_spec;
+  plain_spec.fuse_touch_runs = false;
+  const ExperimentResult fused = RunExperiment(fused_spec);
+  const ExperimentResult plain = RunExperiment(plain_spec);
+  EXPECT_GT(fused.kernel.touch_runs_bulk, 0u);
+  ExpectIdentical(fused, plain, "monitored+logged");
+  ASSERT_TRUE(fused.monitor.has_value());
+  ASSERT_TRUE(plain.monitor.has_value());
+  EXPECT_EQ(0, std::memcmp(&*fused.monitor, &*plain.monitor, sizeof(MonitorStats)));
+  EXPECT_GT(fused.event_log.events().size(), 0u);
+  EXPECT_EQ(fused.event_log.events(), plain.event_log.events());
 }
 
 TEST(RunFusionTest, FuzzScenarioCountersIdenticalAcrossRunPaths) {

@@ -3,13 +3,15 @@
 // memory footprint at 10^7 frames.
 //
 // The unit tests pin the FramePool's contract (contiguous partition, wrap-
-// order fallback, FreeList-identical single-node behavior); the kernel tests
-// drive the same paths through real faults; the scale tests construct the
-// full 10^7-frame machine and hold footprint and per-op cost to their
-// documented bounds — generous wall-clock ceilings that an O(frames) scan on
-// any per-op path would blow by orders of magnitude.
+// order fallback, single-node behavior identical to a reference free list);
+// the kernel tests drive the same paths through real faults; the scale tests
+// construct the full 10^7-frame machine and hold footprint and per-op cost to
+// their documented bounds — generous wall-clock ceilings that an O(frames)
+// scan on any per-op path would blow by orders of magnitude.
 
+#include <algorithm>
 #include <chrono>
+#include <deque>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +19,6 @@
 #include "src/check/fuzz_scenario.h"
 #include "src/core/experiment.h"
 #include "src/vm/frame_pool.h"
-#include "src/vm/free_list.h"
 #include "src/workloads/workloads.h"
 #include "tests/testutil.h"
 
@@ -52,33 +53,37 @@ TEST(FramePoolTest, NodeCountClamped) {
 }
 
 TEST(FramePoolTest, SingleNodeMatchesFreeListExactly) {
+  // The reference free list is a plain deque (front = head): head pops, head
+  // and tail pushes, and mid-list removal for rescue.
   const int64_t frames = 32;
-  FreeList flat(frames);
+  std::deque<FrameId> flat;
   FramePool pool(frames, 1);
   for (FrameId f = 0; f < frames; ++f) {
-    flat.PushTail(f);
+    flat.push_back(f);
     pool.PushTail(f);
   }
   // Interleave pops, head pushes, tail pushes, and a mid-list rescue; the
-  // orders must stay byte-identical throughout.
+  // orders must stay identical throughout.
   for (int round = 0; round < 3; ++round) {
-    const FrameId a = flat.PopHead();
+    const FrameId a = flat.front();
+    flat.pop_front();
     EXPECT_EQ(pool.PopHead(0), a);
-    const FrameId b = flat.PopHead();
+    const FrameId b = flat.front();
+    flat.pop_front();
     EXPECT_EQ(pool.PopHead(0), b);
-    flat.PushHead(a);
+    flat.push_front(a);
     pool.PushHead(a);
-    flat.PushTail(b);
+    flat.push_back(b);
     pool.PushTail(b);
     const FrameId victim = static_cast<FrameId>(7 + round);
-    if (flat.Contains(victim)) {
-      flat.Remove(victim);
+    if (const auto it = std::find(flat.begin(), flat.end(), victim); it != flat.end()) {
+      flat.erase(it);
       ASSERT_TRUE(pool.Contains(victim));
       pool.Remove(victim);
-      flat.PushTail(victim);
+      flat.push_back(victim);
       pool.PushTail(victim);
     }
-    EXPECT_EQ(pool.ToVector(), flat.ToVector());
+    EXPECT_EQ(pool.ToVector(), std::vector<FrameId>(flat.begin(), flat.end()));
   }
 }
 

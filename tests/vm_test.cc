@@ -1,92 +1,59 @@
-// Tests for the physical-memory structures: free list (with rescue), frame
-// table, page table, and residency bitmap.
+// Tests for the physical-memory structures: free list (a single-node
+// FramePool, with rescue), frame table, page table, and residency bitmap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
+#include "src/vm/frame_pool.h"
 #include "src/vm/frame_table.h"
-#include "src/vm/free_list.h"
 #include "src/vm/page_table.h"
 #include "src/vm/residency_bitmap.h"
 
 namespace tmh {
 namespace {
 
-TEST(FreeListTest, PopFromEmptyReturnsNoFrame) {
-  FreeList list(8);
-  EXPECT_TRUE(list.empty());
-  EXPECT_EQ(list.PopHead(), kNoFrame);
-}
-
-TEST(FreeListTest, HeadPushesPopInLifoOrder) {
-  FreeList list(8);
-  list.PushHead(1);
-  list.PushHead(2);
-  list.PushHead(3);
-  EXPECT_EQ(list.PopHead(), 3);
-  EXPECT_EQ(list.PopHead(), 2);
-  EXPECT_EQ(list.PopHead(), 1);
-}
-
-TEST(FreeListTest, TailPushesPopInFifoOrder) {
-  FreeList list(8);
-  list.PushTail(1);
-  list.PushTail(2);
-  list.PushTail(3);
-  EXPECT_EQ(list.PopHead(), 1);
-  EXPECT_EQ(list.PopHead(), 2);
-  EXPECT_EQ(list.PopHead(), 3);
-}
+// The kernel's free list is a single-node FramePool. Plain push/pop/remove
+// order is pinned by the reference-model test below and by FramePoolTest.
 
 TEST(FreeListTest, TailInsertMaximizesRescueWindow) {
   // A released page (tail) outlives a daemon-stolen page (head) on the list.
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushHead(0);  // stolen
   list.PushTail(1);  // released
-  EXPECT_EQ(list.PopHead(), 0);  // the stolen page is reallocated first
+  EXPECT_EQ(list.PopHead(0), 0);  // the stolen page is reallocated first
   EXPECT_TRUE(list.Contains(1));
 }
 
-TEST(FreeListTest, RemoveFromMiddle) {
-  FreeList list(8);
-  list.PushTail(1);
-  list.PushTail(2);
-  list.PushTail(3);
-  list.Remove(2);
-  EXPECT_FALSE(list.Contains(2));
-  EXPECT_EQ(list.size(), 2);
-  EXPECT_EQ(list.PopHead(), 1);
-  EXPECT_EQ(list.PopHead(), 3);
-}
-
 TEST(FreeListTest, RemoveHeadAndTail) {
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushTail(1);
   list.PushTail(2);
   list.PushTail(3);
   list.Remove(1);
   list.Remove(3);
   EXPECT_EQ(list.size(), 1);
-  EXPECT_EQ(list.PopHead(), 2);
+  EXPECT_EQ(list.PopHead(0), 2);
   EXPECT_TRUE(list.empty());
 }
 
 TEST(FreeListTest, ContainsReflectsMembership) {
-  FreeList list(8);
+  FramePool list(8, 1);
   EXPECT_FALSE(list.Contains(3));
   list.PushTail(3);
   EXPECT_TRUE(list.Contains(3));
-  list.PopHead();
+  list.PopHead(0);
   EXPECT_FALSE(list.Contains(3));
   EXPECT_FALSE(list.Contains(-1));
   EXPECT_FALSE(list.Contains(100));
 }
 
 TEST(FreeListTest, CountersTrackOperations) {
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushHead(0);
   list.PushTail(1);
   list.PushTail(2);
@@ -96,14 +63,14 @@ TEST(FreeListTest, CountersTrackOperations) {
   EXPECT_EQ(list.total_rescues(), 1u);
 }
 
-// Property sweep: random push/pop/remove sequences keep the intrusive list
-// consistent with a reference model.
+// Property sweep: random push/pop/remove sequences keep the single-node
+// pool's intrusive list identical to a std::deque reference model.
 class FreeListPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FreeListPropertyTest, MatchesReferenceModel) {
   const int kFrames = 32;
-  FreeList list(kFrames);
-  std::vector<FrameId> model;  // front = head
+  FramePool list(kFrames, 1);
+  std::deque<FrameId> model;  // front = head
   Rng rng(GetParam());
   std::vector<bool> linked(kFrames, false);
 
@@ -114,7 +81,7 @@ TEST_P(FreeListPropertyTest, MatchesReferenceModel) {
       case 0:
         if (!linked[f]) {
           list.PushHead(f);
-          model.insert(model.begin(), f);
+          model.push_front(f);
           linked[f] = true;
         }
         break;
@@ -126,13 +93,13 @@ TEST_P(FreeListPropertyTest, MatchesReferenceModel) {
         }
         break;
       case 2: {
-        const FrameId got = list.PopHead();
+        const FrameId got = list.PopHead(0);
         if (model.empty()) {
           ASSERT_EQ(got, kNoFrame);
         } else {
           ASSERT_EQ(got, model.front());
           linked[model.front()] = false;
-          model.erase(model.begin());
+          model.pop_front();
         }
         break;
       }
@@ -145,6 +112,7 @@ TEST_P(FreeListPropertyTest, MatchesReferenceModel) {
         break;
     }
     ASSERT_EQ(list.size(), static_cast<int64_t>(model.size()));
+    ASSERT_EQ(list.ToVector(), std::vector<FrameId>(model.begin(), model.end()));
     for (FrameId i = 0; i < kFrames; ++i) {
       ASSERT_EQ(list.Contains(i), linked[static_cast<size_t>(i)]);
     }

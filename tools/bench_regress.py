@@ -22,6 +22,9 @@ Two modes:
           direction — a
           too-good number means the committed snapshot is stale or the
           measurement is broken, and should be re-recorded deliberately, or
+        * a machine-independent counter (sim_events, pages_touched,
+          tables_identical) differing from BASELINE at all: the simulation
+          is deterministic, so any drift is a change in behaviour, or
         * a benchmark present in BASELINE but missing from CANDIDATE
           (pass --allow-missing to tolerate deliberate removals), or
         * a sweep benchmark reporting speedup/jobs on only ONE side — the
@@ -84,6 +87,10 @@ GATED_METRIC_DEFAULTS = {
     # (cross-machine wall rates move together); scope-tighten per snapshot.
     "combined": 85.0,
 }
+
+
+# Counters that do not depend on the host: gated for exact equality.
+EXACT_COUNTERS = ("sim_events", "pages_touched", "tables_identical")
 
 
 def load(path):
@@ -189,6 +196,13 @@ def compare(baseline, candidate, threshold_pct, metric_thresholds, allow_missing
         if base is None:
             print(f"{name:32} {'(new)':>14}")
             continue
+        for key in EXACT_COUNTERS:
+            if key not in base or (allow_missing and key not in cand):
+                continue
+            if cand.get(key) != base[key]:
+                print(f"{name + ' [' + key + ']':32} {base[key]!s:>14} {cand.get(key)!s:>14}"
+                      f"  << COUNTER CHANGED (exact gate)")
+                failed.append(name)
         base_rate, unit = rate_of(base)
         cand_rate, _ = rate_of(cand)
         base_wall = base.get("wall_s")

@@ -27,7 +27,10 @@ Runs the gate as a subprocess against the fixtures in tests/data/ and asserts:
     invocation, prefixes failures with the snapshot stem, scopes
     SNAP/METRIC=PCT thresholds to their pair, and rejects odd file counts;
   * a "cpus" field caps the efficiency denominator at min(jobs, cpus), so a
-    1-CPU run of an 8-job sweep gates at speedup/1, not speedup/8.
+    1-CPU run of an 8-job sweep gates at speedup/1, not speedup/8;
+  * the machine-independent counters (sim_events, pages_touched,
+    tables_identical) pass on an exact match and fail when off by one (or,
+    for tables_identical, false).
 
 Usage: bench_regress_test.py [DATA_DIR]   (default: ../tests/data next to
 this script, so it runs both from the source tree and from CTest).
@@ -312,6 +315,29 @@ def main():
     finally:
         os.unlink(one_cpu)
         os.unlink(no_cpus)
+
+    # Exact counters: the fixture against itself passes; one event, one page
+    # or a differing sweep table fails, however close the rates stay.
+    def bump(key, value):
+        def mutate(bench):
+            if key in bench:
+                bench[key] = value(bench[key])
+        return mutate
+
+    for key, change, value in (("sim_events", "off by one", lambda v: v + 1),
+                               ("pages_touched", "off by one", lambda v: v - 1),
+                               ("tables_identical", "false", lambda v: False)):
+        changed = mutated(wall_only, bump(key, value))
+        try:
+            code, out = run_gate(wall_only, changed)
+            failures += check(f"{key} {change} fails the exact gate",
+                              code == 1 and f"[{key}]" in out
+                              and "COUNTER CHANGED" in out, out)
+        finally:
+            os.unlink(changed)
+    code, out = run_gate(wall_only, wall_only)
+    failures += check("exact counters matching pass",
+                      code == 0 and "COUNTER CHANGED" not in out, out)
 
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
